@@ -176,6 +176,15 @@ mod tests {
             );
             assert_eq!(single.probe(), threaded.probe());
             assert_eq!(single.shard_probes(), threaded.shard_probes());
+            // The scheduler mode travels with the sync counters, so a
+            // speed artifact can say which path a row measured.
+            let mode = |system: &MultiSystem| {
+                let stats = BusModel::sync_stats(system).expect("sharded sync stats");
+                (stats.threaded, stats.spin_sync)
+            };
+            let spin = crate::sync::default_spin_sync();
+            assert_eq!(mode(&single), (false, spin));
+            assert_eq!(mode(&threaded), (true, spin));
         }
     }
 

@@ -375,9 +375,10 @@ impl MultiSystem {
     /// # Panics
     ///
     /// Panics when no patterns are given, when more than 16 shards are
-    /// requested, when the topology fixes a different shard count, or
-    /// when a master identifier collides with the reserved
-    /// bridge/write-buffer range.
+    /// requested, when the topology fixes a different shard count or
+    /// names a shard outside the platform
+    /// ([`crate::Topology::validate_links`]), or when a master identifier
+    /// collides with the reserved bridge/write-buffer range.
     #[must_use]
     pub fn from_shard_patterns(
         config: &MultiConfig,
@@ -388,7 +389,9 @@ impl MultiSystem {
         let shards = patterns.len();
         assert!(shards >= 1, "a platform needs at least one shard");
         assert!(shards <= 16, "bridge master ids support at most 16 shards");
-        config.topology.validate_links(shards);
+        if let Err(error) = config.topology.validate_links(shards) {
+            panic!("{error}");
+        }
         let backends = config.topology.backends(shards);
         let map = config.topology.window_map(shards);
         let quantum = config.effective_quantum(shards);
@@ -945,6 +948,8 @@ impl BusModel for MultiSystem {
             stretched: self.stretched,
             cycles_gained: self.cycles_gained,
             mean_quantum,
+            threaded: self.threaded,
+            spin_sync: self.spin_sync,
         })
     }
 }

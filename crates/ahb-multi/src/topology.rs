@@ -208,32 +208,34 @@ impl Topology {
     /// stored but never consulted, silently measuring the uniform
     /// platform.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics when an override names a shard `>= shards` or a self-link.
-    pub fn validate_links(&self, shards: usize) {
+    /// Describes the first override that names a shard `>= shards`, or
+    /// the first self-link.
+    pub fn validate_links(&self, shards: usize) -> Result<(), String> {
         for &(source, destination, _) in &self.links {
-            assert!(
-                source < shards && destination < shards,
-                "link override {source}->{destination} names a shard outside 0..{shards}"
-            );
-            assert_ne!(
-                source, destination,
-                "link override {source}->{destination} is a self-link (never routed)"
-            );
+            if source >= shards || destination >= shards {
+                return Err(format!(
+                    "link override {source}->{destination} names a shard outside 0..{shards}"
+                ));
+            }
+            if source == destination {
+                return Err(format!(
+                    "link override {source}->{destination} is a self-link (never routed)"
+                ));
+            }
         }
-        for (shard, _) in &self.shard_params {
-            assert!(
-                *shard < shards,
+        if let Some((shard, _)) = self.shard_params.iter().find(|(s, _)| *s >= shards) {
+            return Err(format!(
                 "bus-parameter override names shard {shard} outside 0..{shards}"
-            );
+            ));
         }
-        for (shard, _) in &self.shard_ddr {
-            assert!(
-                *shard < shards,
+        if let Some((shard, _)) = self.shard_ddr.iter().find(|(s, _)| *s >= shards) {
+            return Err(format!(
                 "DDR override names shard {shard} outside 0..{shards}"
-            );
+            ));
         }
+        Ok(())
     }
 
     /// Returns a copy with the read-crossing mode set.
@@ -448,13 +450,19 @@ mod tests {
     #[test]
     fn link_validation_rejects_dangling_and_self_links() {
         let link = BridgeConfig::ahb_plus();
-        Topology::uniform(ShardBackendKind::Tlm)
-            .with_link(0, 1, link)
-            .validate_links(2);
+        assert_eq!(
+            Topology::uniform(ShardBackendKind::Tlm)
+                .with_link(0, 1, link)
+                .validate_links(2),
+            Ok(())
+        );
         let dangling = Topology::uniform(ShardBackendKind::Tlm).with_link(2, 0, link);
-        assert!(std::panic::catch_unwind(|| dangling.validate_links(2)).is_err());
+        assert!(dangling
+            .validate_links(2)
+            .unwrap_err()
+            .contains("outside 0..2"));
         let selfish = Topology::uniform(ShardBackendKind::Tlm).with_link(1, 1, link);
-        assert!(std::panic::catch_unwind(|| selfish.validate_links(2)).is_err());
+        assert!(selfish.validate_links(2).unwrap_err().contains("self-link"));
     }
 
     #[test]
@@ -494,9 +502,14 @@ mod tests {
         let fast = DdrConfig::ahb_plus();
         let re = topology.clone().with_shard_ddr(3, fast);
         assert_eq!(re.ddr_for(3, slow), fast);
-        topology.validate_links(4);
+        assert_eq!(topology.validate_links(4), Ok(()));
         let dangling = Topology::het_2x2().with_shard_ddr(4, slow);
-        assert!(std::panic::catch_unwind(|| dangling.validate_links(4)).is_err());
+        assert!(dangling
+            .validate_links(4)
+            .unwrap_err()
+            .contains("DDR override"));
+        let dangling = Topology::het_2x2().with_shard_params(7, plain);
+        assert!(dangling.validate_links(4).unwrap_err().contains("shard 7"));
     }
 
     #[test]

@@ -23,10 +23,11 @@
 //! * [`bi`] — the Bus Interface (BI) message types carrying next-transaction
 //!   information, idle-bank status and access permission between arbiter
 //!   and DDR controller (paper §2, §3.4).
-//! * [`memmap`] — the address decoder / memory map.
 //! * [`bridge`] — the AHB-to-AHB bridge vocabulary of multi-bus platforms:
-//!   the interleaved shard-window decode and the crossing records a bridge
-//!   slave emits and a bridge master replays.
+//!   the shard-window decode ([`bridge::ShardMap`], [`bridge::WindowMap`])
+//!   and the crossing records a bridge slave emits and a bridge master
+//!   replays.
+//! * [`params`] — the bus-side AHB+ model parameters (paper §3.7).
 //! * [`check`] — protocol rule checks shared by both models (paper §3.5).
 //!
 //! # Transaction pool ownership rules
@@ -71,7 +72,6 @@ pub mod bridge;
 pub mod burst;
 pub mod check;
 pub mod ids;
-pub mod memmap;
 pub mod params;
 pub mod qos;
 pub mod signal;
@@ -83,7 +83,6 @@ pub use bridge::{BridgeCrossing, BridgePort, CrossingLeg, ReplayStats, ShardMap,
 pub use burst::{BurstKind, BurstSequence};
 pub use check::ProtocolChecker;
 pub use ids::{Addr, MasterId, SlaveId};
-pub use memmap::{MemoryMap, Region};
 pub use params::AhbPlusParams;
 pub use qos::{MasterClass, QosConfig, QosRegisterFile};
 pub use signal::{HBurst, HResp, HSize, HTrans};

@@ -206,7 +206,9 @@ impl std::error::Error for CanonError {}
 /// non-negative integers, `true`/`false`/`null` and arbitrary
 /// whitespace. Floats, negative numbers and exponents are rejected —
 /// nothing the campaign subsystem hashes contains them, and refusing
-/// them keeps "parse then re-encode" an exact round trip.
+/// them keeps "parse then re-encode" an exact round trip. Objects and
+/// arrays nest at most 128 levels deep, so hostile input cannot exhaust
+/// the stack of the recursive descent.
 ///
 /// # Errors
 ///
@@ -214,7 +216,7 @@ impl std::error::Error for CanonError {}
 pub fn parse(text: &str) -> Result<CanonValue, CanonError> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
+    let value = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(CanonError::new(format!(
@@ -230,12 +232,20 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<CanonValue, CanonError> {
+/// Deepest object/array nesting [`parse`] accepts.
+const MAX_DEPTH: usize = 128;
+
+/// Parses one value nested inside `depth` enclosing objects/arrays.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<CanonValue, CanonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err(CanonError::new("unexpected end of input")),
-        Some(b'{') => parse_map(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(CanonError::new(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {}",
+            *pos
+        ))),
+        Some(b'{') => parse_map(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(CanonValue::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_literal(bytes, pos, "true", CanonValue::Bool(true)),
         Some(b'f') => parse_literal(bytes, pos, "false", CanonValue::Bool(false)),
@@ -338,7 +348,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, CanonError> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<CanonValue, CanonError> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<CanonValue, CanonError> {
     debug_assert_eq!(bytes[*pos], b'[');
     *pos += 1;
     let mut items = Vec::new();
@@ -348,7 +358,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<CanonValue, CanonError> 
         return Ok(CanonValue::Array(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -365,7 +375,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<CanonValue, CanonError> 
     }
 }
 
-fn parse_map(bytes: &[u8], pos: &mut usize) -> Result<CanonValue, CanonError> {
+fn parse_map(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<CanonValue, CanonError> {
     debug_assert_eq!(bytes[*pos], b'{');
     *pos += 1;
     let mut entries = BTreeMap::new();
@@ -387,7 +397,7 @@ fn parse_map(bytes: &[u8], pos: &mut usize) -> Result<CanonValue, CanonError> {
             return Err(CanonError::new(format!("expected ':' at byte {pos}")));
         }
         *pos += 1;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         entries.insert(key, value);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -498,6 +508,20 @@ mod tests {
         assert!(parse(r#"{"a":"#).is_err());
         assert!(parse("").is_err());
         assert!(parse("[1,]").is_err());
+    }
+
+    #[test]
+    fn nesting_is_limited_instead_of_overflowing_the_stack() {
+        let hostile = "[".repeat(10_000);
+        let error = parse(&hostile).unwrap_err();
+        assert!(
+            error.to_string().contains("nesting deeper than 128"),
+            "{error}"
+        );
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&deepest).is_ok());
+        let one_more = format!("{{\"a\":{deepest}}}");
+        assert!(parse(&one_more).is_err());
     }
 
     #[test]

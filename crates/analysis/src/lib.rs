@@ -17,13 +17,12 @@
 //! * [`accuracy`] — pairs two reports produced from the same stimulus and
 //!   computes per-metric relative errors and the average accuracy, printing
 //!   a Table-1-shaped table.
-//! * [`speed`] — pairs the wall-clock throughput of the two runs into the
-//!   Kcycles/s + speedup summary of §4.
+//! * [`speed`] — per-model wall-clock throughput records
+//!   (`BENCH_speed.json`) and the Kcycles/s + speedup summary of §4.
 //! * [`trace`] — the structured event-tracing subsystem: deterministic
 //!   transaction-lifecycle / bridge / scheduler event streams every
 //!   backend can emit ([`trace::Tracer`]), merged shard logs
-//!   ([`trace::TraceLog`]), Perfetto and JSON-lines exporters, and the
-//!   derived counter/histogram registry ([`trace::TraceMetrics`]).
+//!   ([`trace::TraceLog`]) and Perfetto and JSON-lines exporters.
 //! * [`tracebin`] — the compact `.ahbt` binary trace container
 //!   (delta-encoded varint events, ~6× smaller than JSON-lines) with a
 //!   streaming, bounded-memory [`tracebin::TraceReader`].
@@ -75,6 +74,6 @@ pub use model::{BusModel, Probe, PROBE_FIELDS};
 pub use profile::{Profile, ProfileBuilder, ProfileDiff, ProfileOptions};
 pub use recorder::Recorder;
 pub use report::{BusMetrics, MasterMetrics, ModelKind, SimReport};
-pub use speed::{ModelMeasurement, SpeedBenchRecord, SpeedReport};
-pub use trace::{TraceEvent, TraceEventKind, TraceLog, TraceMetrics, Tracer};
+pub use speed::{ModelMeasurement, SpeedBenchRecord};
+pub use trace::{TraceEvent, TraceEventKind, TraceLog, Tracer};
 pub use tracebin::TraceReader;

@@ -3,86 +3,15 @@
 //! The paper reports simulation throughput in kilo-cycles per wall-clock
 //! second: 0.47 Kcycles/s for the pin-accurate RTL model, 166 Kcycles/s for
 //! the transaction-level model (353× faster), and 456 Kcycles/s for the TLM
-//! driven by a single master. [`SpeedReport`] packages the same three
-//! numbers measured on this reproduction.
+//! driven by a single master. [`SpeedBenchRecord`] holds one measurement
+//! per model configuration and derives the same three numbers, the
+//! speed-up and the printed §4 table from them.
 
 use std::fmt;
 use std::fmt::Write as _;
 
 use crate::jsonfmt::{escape_json, json_f64};
 use crate::model::SyncStats;
-use crate::report::SimReport;
-
-/// Simulation-speed summary for one platform configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SpeedReport {
-    /// RTL throughput in kilo-cycles per second.
-    pub rtl_kcycles_per_sec: f64,
-    /// TLM throughput in kilo-cycles per second (full master set).
-    pub tlm_kcycles_per_sec: f64,
-    /// TLM throughput with a single master, if measured.
-    pub tlm_single_master_kcycles_per_sec: Option<f64>,
-}
-
-impl SpeedReport {
-    /// Builds a speed report from the two paired runs (and optionally the
-    /// single-master TLM run).
-    #[must_use]
-    pub fn from_reports(
-        rtl: &SimReport,
-        tlm: &SimReport,
-        tlm_single_master: Option<&SimReport>,
-    ) -> Self {
-        SpeedReport {
-            rtl_kcycles_per_sec: rtl.kcycles_per_second(),
-            tlm_kcycles_per_sec: tlm.kcycles_per_second(),
-            tlm_single_master_kcycles_per_sec: tlm_single_master.map(SimReport::kcycles_per_second),
-        }
-    }
-
-    /// Speed-up of the transaction-level model over the RTL reference —
-    /// the paper's headline 353× figure.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        if self.rtl_kcycles_per_sec <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.tlm_kcycles_per_sec / self.rtl_kcycles_per_sec
-    }
-
-    /// Renders the §4 speed table. Models that were filtered out of the
-    /// measurement (non-finite throughput) are omitted from the table.
-    #[must_use]
-    pub fn format_table(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{:<28} {:>16}", "model", "Kcycles/s");
-        if self.rtl_kcycles_per_sec.is_finite() {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>16.2}",
-                "pin-accurate RTL", self.rtl_kcycles_per_sec
-            );
-        }
-        if self.tlm_kcycles_per_sec.is_finite() {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>16.2}",
-                "transaction-level", self.tlm_kcycles_per_sec
-            );
-        }
-        if let Some(single) = self.tlm_single_master_kcycles_per_sec {
-            let _ = writeln!(
-                out,
-                "{:<28} {:>16.2}",
-                "transaction-level (1 master)", single
-            );
-        }
-        if self.rtl_kcycles_per_sec.is_finite() && self.tlm_kcycles_per_sec.is_finite() {
-            let _ = writeln!(out, "{:<28} {:>15.1}x", "TL / RTL speed-up", self.speedup());
-        }
-        out
-    }
-}
 
 /// The paper's Table 2 reference numbers (Kcycles/s on the authors' 2005
 /// setup), kept with the report so every emitted benchmark artifact can
@@ -187,6 +116,9 @@ pub struct SpeedBenchRecord {
     pub transactions_per_master: usize,
     /// Workload seed.
     pub seed: u64,
+    /// Logical cores of the measuring host (`available_parallelism`),
+    /// which decides the sharded rows' scheduler mode.
+    pub host_cores: usize,
     /// One entry per measured model configuration.
     pub models: Vec<ModelMeasurement>,
 }
@@ -198,17 +130,48 @@ impl SpeedBenchRecord {
         self.models.iter().find(|m| m.name == name)
     }
 
-    /// Condenses the measurement list into the three-number §4 summary.
-    /// Models that were not measured appear as NaN / `None` (rendered as
-    /// `null` in JSON and omitted from tables).
+    /// Throughput of the named model, or NaN when it was not measured
+    /// (rendered as `null` in JSON and omitted from tables).
+    fn kcycles_per_sec(&self, name: &str) -> f64 {
+        self.model(name).map_or(f64::NAN, |m| m.kcycles_per_sec)
+    }
+
+    /// Speed-up of the transaction-level model over the RTL reference —
+    /// the paper's headline 353× figure. NaN when either was not measured.
     #[must_use]
-    pub fn speed_report(&self) -> SpeedReport {
-        let throughput = |name: &str| self.model(name).map(|m| m.kcycles_per_sec);
-        SpeedReport {
-            rtl_kcycles_per_sec: throughput(model_names::RTL).unwrap_or(f64::NAN),
-            tlm_kcycles_per_sec: throughput(model_names::TLM).unwrap_or(f64::NAN),
-            tlm_single_master_kcycles_per_sec: throughput(model_names::TLM_SINGLE_MASTER),
+    pub fn speedup(&self) -> f64 {
+        let rtl = self.kcycles_per_sec(model_names::RTL);
+        if rtl <= 0.0 {
+            return f64::INFINITY;
         }
+        self.kcycles_per_sec(model_names::TLM) / rtl
+    }
+
+    /// Renders the §4 speed table. Models that were filtered out of the
+    /// measurement (non-finite throughput) are omitted from the table.
+    #[must_use]
+    pub fn format_table(&self) -> String {
+        let rtl = self.kcycles_per_sec(model_names::RTL);
+        let tlm = self.kcycles_per_sec(model_names::TLM);
+        let mut out = String::new();
+        let _ = writeln!(out, "{:<28} {:>16}", "model", "Kcycles/s");
+        if rtl.is_finite() {
+            let _ = writeln!(out, "{:<28} {:>16.2}", "pin-accurate RTL", rtl);
+        }
+        if tlm.is_finite() {
+            let _ = writeln!(out, "{:<28} {:>16.2}", "transaction-level", tlm);
+        }
+        if let Some(single) = self.model(model_names::TLM_SINGLE_MASTER) {
+            let _ = writeln!(
+                out,
+                "{:<28} {:>16.2}",
+                "transaction-level (1 master)", single.kcycles_per_sec
+            );
+        }
+        if rtl.is_finite() && tlm.is_finite() {
+            let _ = writeln!(out, "{:<28} {:>15.1}x", "TL / RTL speed-up", self.speedup());
+        }
+        out
     }
 
     /// Serializes the record as a self-contained JSON object (no external
@@ -217,7 +180,6 @@ impl SpeedBenchRecord {
     /// per-model `models` array.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let speed = self.speed_report();
         let cycles_of = |name: &str| self.model(name).map(|m| m.cycles);
         let json_u64 =
             |value: Option<u64>| value.map_or_else(|| "null".to_owned(), |v| v.to_string());
@@ -230,6 +192,7 @@ impl SpeedBenchRecord {
             self.transactions_per_master
         );
         let _ = writeln!(out, "  \"seed\": {},", self.seed);
+        let _ = writeln!(out, "  \"host_cores\": {},", self.host_cores);
         let _ = writeln!(
             out,
             "  \"rtl_cycles\": {},",
@@ -240,36 +203,20 @@ impl SpeedBenchRecord {
             "  \"tlm_cycles\": {},",
             json_u64(cycles_of(model_names::TLM))
         );
-        let _ = writeln!(
-            out,
-            "  \"rtl_kcycles_per_sec\": {},",
-            json_f64(speed.rtl_kcycles_per_sec)
-        );
-        let _ = writeln!(
-            out,
-            "  \"tlm_kcycles_per_sec\": {},",
-            json_f64(speed.tlm_kcycles_per_sec)
-        );
-        let _ = writeln!(
-            out,
-            "  \"tlm_single_master_kcycles_per_sec\": {},",
-            speed
-                .tlm_single_master_kcycles_per_sec
-                .map_or_else(|| "null".to_owned(), json_f64)
-        );
-        let _ = writeln!(
-            out,
-            "  \"tlm_detached_kcycles_per_sec\": {},",
-            self.model(model_names::TLM_DETACHED)
-                .map_or_else(|| "null".to_owned(), |m| json_f64(m.kcycles_per_sec))
-        );
-        let _ = writeln!(
-            out,
-            "  \"lt_kcycles_per_sec\": {},",
-            self.model(model_names::LT)
-                .map_or_else(|| "null".to_owned(), |m| json_f64(m.kcycles_per_sec))
-        );
-        let _ = writeln!(out, "  \"speedup\": {},", json_f64(speed.speedup()));
+        for (key, name) in [
+            ("rtl", model_names::RTL),
+            ("tlm", model_names::TLM),
+            ("tlm_single_master", model_names::TLM_SINGLE_MASTER),
+            ("tlm_detached", model_names::TLM_DETACHED),
+            ("lt", model_names::LT),
+        ] {
+            let _ = writeln!(
+                out,
+                "  \"{key}_kcycles_per_sec\": {},",
+                json_f64(self.kcycles_per_sec(name))
+            );
+        }
+        let _ = writeln!(out, "  \"speedup\": {},", json_f64(self.speedup()));
         let _ = writeln!(out, "  \"models\": [");
         for (index, model) in self.models.iter().enumerate() {
             let comma = if index + 1 < self.models.len() {
@@ -279,11 +226,13 @@ impl SpeedBenchRecord {
             };
             let sync = model.sync.map_or_else(String::new, |s| {
                 format!(
-                    ", \"sync_barriers\": {}, \"sync_stretched\": {}, \"sync_cycles_gained\": {}, \"mean_quantum\": {}",
+                    ", \"sync_barriers\": {}, \"sync_stretched\": {}, \"sync_cycles_gained\": {}, \"mean_quantum\": {}, \"threaded\": {}, \"spin_sync\": {}",
                     s.barriers,
                     s.stretched,
                     s.cycles_gained,
-                    json_f64(s.mean_quantum)
+                    json_f64(s.mean_quantum),
+                    s.threaded,
+                    s.spin_sync
                 )
             });
             let trace = model.trace_overhead_pct.map_or_else(String::new, |pct| {
@@ -326,13 +275,13 @@ impl SpeedBenchRecord {
     }
 }
 
-impl fmt::Display for SpeedReport {
+impl fmt::Display for SpeedBenchRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "RTL {:.2} Kc/s, TL {:.2} Kc/s ({:.0}x)",
-            self.rtl_kcycles_per_sec,
-            self.tlm_kcycles_per_sec,
+            self.kcycles_per_sec(model_names::RTL),
+            self.kcycles_per_sec(model_names::TLM),
             self.speedup()
         )
     }
@@ -341,49 +290,6 @@ impl fmt::Display for SpeedReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::{BusMetrics, ModelKind};
-    use std::collections::BTreeMap;
-
-    fn report(model: ModelKind, cycles: u64, seconds: f64) -> SimReport {
-        SimReport {
-            model,
-            total_cycles: cycles,
-            wall_seconds: seconds,
-            masters: BTreeMap::new(),
-            bus: BusMetrics::default(),
-        }
-    }
-
-    #[test]
-    fn speedup_matches_throughput_ratio() {
-        let rtl = report(ModelKind::PinAccurateRtl, 100_000, 10.0); // 10 Kc/s
-        let tlm = report(ModelKind::TransactionLevel, 100_000, 0.05); // 2000 Kc/s
-        let speed = SpeedReport::from_reports(&rtl, &tlm, None);
-        assert!((speed.speedup() - 200.0).abs() < 1e-9);
-        assert!(speed.tlm_single_master_kcycles_per_sec.is_none());
-    }
-
-    #[test]
-    fn single_master_run_is_included_when_given() {
-        let rtl = report(ModelKind::PinAccurateRtl, 10_000, 1.0);
-        let tlm = report(ModelKind::TransactionLevel, 10_000, 0.01);
-        let single = report(ModelKind::TransactionLevel, 10_000, 0.005);
-        let speed = SpeedReport::from_reports(&rtl, &tlm, Some(&single));
-        assert!(speed.tlm_single_master_kcycles_per_sec.unwrap() > speed.tlm_kcycles_per_sec);
-        let table = speed.format_table();
-        assert!(table.contains("1 master"));
-        assert!(table.contains("speed-up"));
-    }
-
-    #[test]
-    fn degenerate_rtl_speed_yields_infinite_speedup() {
-        let speed = SpeedReport {
-            rtl_kcycles_per_sec: 0.0,
-            tlm_kcycles_per_sec: 100.0,
-            tlm_single_master_kcycles_per_sec: None,
-        };
-        assert!(speed.speedup().is_infinite());
-    }
 
     fn measurement(name: &str, cycles: u64, kcycles_per_sec: f64) -> ModelMeasurement {
         ModelMeasurement {
@@ -395,16 +301,62 @@ mod tests {
         }
     }
 
+    fn record(models: Vec<ModelMeasurement>) -> SpeedBenchRecord {
+        SpeedBenchRecord {
+            workload: "pattern_a".to_owned(),
+            transactions_per_master: 100,
+            seed: 1,
+            host_cores: 2,
+            models,
+        }
+    }
+
+    #[test]
+    fn speedup_matches_throughput_ratio() {
+        let record = record(vec![
+            measurement(model_names::RTL, 100_000, 10.0),
+            measurement(model_names::TLM, 100_000, 2_000.0),
+        ]);
+        assert!((record.speedup() - 200.0).abs() < 1e-9);
+        assert!(record.model(model_names::TLM_SINGLE_MASTER).is_none());
+        assert!(!record.format_table().contains("1 master"));
+    }
+
+    #[test]
+    fn single_master_run_is_included_when_given() {
+        let record = record(vec![
+            measurement(model_names::RTL, 10_000, 10.0),
+            measurement(model_names::TLM, 10_000, 1_000.0),
+            measurement(model_names::TLM_SINGLE_MASTER, 10_000, 2_000.0),
+        ]);
+        let table = record.format_table();
+        assert!(table.contains("1 master"));
+        assert!(table.contains("speed-up"));
+        assert_eq!(
+            table,
+            "model                               Kcycles/s\n\
+             pin-accurate RTL                        10.00\n\
+             transaction-level                     1000.00\n\
+             transaction-level (1 master)          2000.00\n\
+             TL / RTL speed-up                      100.0x\n"
+        );
+    }
+
+    #[test]
+    fn degenerate_rtl_speed_yields_infinite_speedup() {
+        let record = record(vec![
+            measurement(model_names::RTL, 0, 0.0),
+            measurement(model_names::TLM, 10_000, 100.0),
+        ]);
+        assert!(record.speedup().is_infinite());
+        assert!(record.to_json().contains("\"speedup\": null,"));
+    }
+
     #[test]
     fn trace_overhead_extends_the_per_model_json_line() {
         let mut traced = measurement(model_names::TLM, 50_000, 1_000.0);
         traced.trace_overhead_pct = Some(1.25);
-        let record = SpeedBenchRecord {
-            workload: "pattern_a".to_owned(),
-            transactions_per_master: 100,
-            seed: 1,
-            models: vec![traced, measurement(model_names::LT, 50_000, 2_000.0)],
-        };
+        let record = record(vec![traced, measurement(model_names::LT, 50_000, 2_000.0)]);
         let json = record.to_json();
         assert!(json.contains("\"kcycles_per_sec\": 1000, \"trace_overhead_pct\": 1.25}"));
         // Models without a traced measurement keep the bare line.
@@ -419,20 +371,21 @@ mod tests {
             stretched: 25,
             cycles_gained: 12_000,
             mean_quantum: 400.0,
+            threaded: true,
+            spin_sync: false,
         });
-        let record = SpeedBenchRecord {
-            workload: "pattern_shards".to_owned(),
-            transactions_per_master: 100,
-            seed: 1,
-            models: vec![measurement(model_names::TLM, 50_000, 1_000.0), sharded],
-        };
+        let record = record(vec![
+            measurement(model_names::TLM, 50_000, 1_000.0),
+            sharded,
+        ]);
         let json = record.to_json();
         // Single-bus lines are unchanged; sharded lines append the
-        // scheduler counters after the throughput.
+        // scheduler counters and mode after the throughput.
         assert!(json.contains("{\"name\": \"tlm\", \"cycles\": 50000, \"kcycles_per_sec\": 1000}"));
         assert!(json.contains(
             "\"kcycles_per_sec\": 5000, \"sync_barriers\": 100, \"sync_stretched\": 25, \
-             \"sync_cycles_gained\": 12000, \"mean_quantum\": 400"
+             \"sync_cycles_gained\": 12000, \"mean_quantum\": 400, \"threaded\": true, \
+             \"spin_sync\": false}"
         ));
     }
 
@@ -442,22 +395,35 @@ mod tests {
             workload: "pattern_a".to_owned(),
             transactions_per_master: 1_000,
             seed: 2005,
+            host_cores: 4,
             models: vec![
                 measurement(model_names::RTL, 123_456, 250.5),
                 measurement(model_names::TLM, 123_400, 60_000.0),
                 measurement(model_names::TLM_SINGLE_MASTER, 60_000, 90_000.0),
                 measurement(model_names::TLM_DETACHED, 123_400, 70_000.0),
+                measurement(model_names::LT, 123_400, 150_000.0),
             ],
         };
         let json = record.to_json();
         assert!(json.contains("\"schema\": \"ahbplus-bench-speed/v2\""));
         assert!(json.contains("\"workload\": \"pattern_a\""));
-        // v1-compatible flat keys are derived from the model list.
-        assert!(json.contains("\"rtl_cycles\": 123456"));
-        assert!(json.contains("\"tlm_kcycles_per_sec\": 60000"));
-        assert!(json.contains("\"tlm_detached_kcycles_per_sec\": 70000"));
+        assert!(json.contains("\"host_cores\": 4,"));
+        // Every v1 flat key is still emitted, derived from the model list.
+        for line in [
+            "\"transactions_per_master\": 1000,",
+            "\"seed\": 2005,",
+            "\"rtl_cycles\": 123456,",
+            "\"tlm_cycles\": 123400,",
+            "\"rtl_kcycles_per_sec\": 250.5,",
+            "\"tlm_kcycles_per_sec\": 60000,",
+            "\"tlm_single_master_kcycles_per_sec\": 90000,",
+            "\"tlm_detached_kcycles_per_sec\": 70000,",
+            "\"lt_kcycles_per_sec\": 150000,",
+            "\"speedup\": 239.52095808383234,",
+        ] {
+            assert!(json.contains(&format!("  {line}\n")), "missing {line}");
+        }
         assert!(json.contains("\"paper_reference\""));
-        assert!(json.contains("\"speedup\""));
         // v2 per-model array carries every measured configuration by name.
         assert!(json.contains("{\"name\": \"tlm-single-master\", \"cycles\": 60000"));
     }
@@ -466,36 +432,29 @@ mod tests {
     fn filtered_record_degrades_missing_models_to_null() {
         // A harness run filtered to the TLM only must still emit valid
         // JSON: every key about unmeasured models becomes null.
-        let record = SpeedBenchRecord {
-            workload: "pattern_a".to_owned(),
-            transactions_per_master: 100,
-            seed: 1,
-            models: vec![measurement(model_names::TLM, 50_000, 1_000.0)],
-        };
+        let record = record(vec![measurement(model_names::TLM, 50_000, 1_000.0)]);
         let json = record.to_json();
         assert!(json.contains("\"rtl_cycles\": null"));
         assert!(json.contains("\"rtl_kcycles_per_sec\": null"));
         assert!(json.contains("\"tlm_kcycles_per_sec\": 1000"));
         assert!(json.contains("\"tlm_single_master_kcycles_per_sec\": null"));
         assert!(json.contains("\"speedup\": null"));
-        let speed = record.speed_report();
-        assert!(speed.rtl_kcycles_per_sec.is_nan());
-        assert!(speed.tlm_single_master_kcycles_per_sec.is_none());
+        assert!(record.speedup().is_nan());
         // The table omits unmeasured models instead of printing NaN.
-        let table = speed.format_table();
+        let table = record.format_table();
         assert!(!table.contains("NaN"));
         assert!(table.contains("transaction-level"));
         assert!(!table.contains("pin-accurate"));
+        assert!(!table.contains("speed-up"));
     }
 
     #[test]
     fn display_is_compact() {
-        let speed = SpeedReport {
-            rtl_kcycles_per_sec: 0.5,
-            tlm_kcycles_per_sec: 170.0,
-            tlm_single_master_kcycles_per_sec: None,
-        };
-        let text = speed.to_string();
+        let record = record(vec![
+            measurement(model_names::RTL, 1_000, 0.5),
+            measurement(model_names::TLM, 1_000, 170.0),
+        ]);
+        let text = record.to_string();
         assert!(text.contains("RTL 0.50"));
         assert!(text.contains("340x"));
     }

@@ -1,4 +1,4 @@
-//! Structured event tracing and derived metrics.
+//! Structured event tracing.
 //!
 //! Every backend can emit a stream of [`TraceEvent`]s into a [`Tracer`]:
 //! transaction-lifecycle spans (release → grant → data beats → retire,
@@ -23,10 +23,10 @@
 //! (via `BusModel::take_trace`). Multi-shard platforms merge per-shard
 //! logs in `(cycle, shard, seq)` order ([`TraceLog::merge`]); the
 //! result exports to Chrome-trace/Perfetto JSON
-//! ([`TraceLog::to_perfetto_json`]) or compact JSON-lines, and derives
-//! a counter/histogram registry ([`TraceLog::metrics`]): per-master
-//! latency histograms, DDR bank hit/miss, write-buffer and bridge-FIFO
-//! activity.
+//! ([`TraceLog::to_perfetto_json`]) or compact JSON-lines, and carries
+//! the registered [`TraceCounters`] (DDR bank hit/miss, write-buffer and
+//! bridge-FIFO peaks). Per-master latency distributions and their
+//! attribution live in [`crate::profile`].
 
 use std::fmt::Write as _;
 
@@ -376,69 +376,6 @@ impl LatencyHistogram {
     }
 }
 
-/// Per-master derived metrics.
-#[derive(Debug, Clone, Default)]
-pub struct MasterTraceMetrics {
-    /// Master id.
-    pub master: u16,
-    /// Request-to-retire latency histogram over the master's spans
-    /// (absorbed posted writes count with their absorption latency).
-    pub latency: LatencyHistogram,
-    /// Bytes the master moved.
-    pub bytes: u64,
-}
-
-/// The derived counter/histogram registry of a trace.
-#[derive(Debug, Clone, Default)]
-pub struct TraceMetrics {
-    /// Aggregate counters.
-    pub counters: TraceCounters,
-    /// Per-master latency/bytes metrics, ordered by master id.
-    pub masters: Vec<MasterTraceMetrics>,
-}
-
-impl TraceMetrics {
-    /// Renders a small human-readable summary table.
-    #[must_use]
-    pub fn format_summary(&self) -> String {
-        let c = &self.counters;
-        let mut out = String::new();
-        let _ =
-            writeln!(
-            out,
-            "events: {} spans, {} absorbed, {} drained, {} crossings ({} replays, {} responses), \
-             {} barriers ({} stretched)",
-            c.spans, c.absorbed, c.drained, c.crossings, c.replays, c.responses, c.barriers,
-            c.stretches
-        );
-        let _ = writeln!(
-            out,
-            "ddr: {} accesses, {} row hits, {} misses; write-buffer peak {}, bridge-FIFO peak {}",
-            c.dram_accesses,
-            c.dram_row_hits,
-            c.dram_misses(),
-            c.write_buffer_peak,
-            c.bridge_fifo_peak
-        );
-        let _ = writeln!(
-            out,
-            "{:<8} {:>8} {:>12} {:>14}",
-            "master", "spans", "bytes", "mean latency"
-        );
-        for m in &self.masters {
-            let _ = writeln!(
-                out,
-                "m{:<7} {:>8} {:>12} {:>14.1}",
-                m.master,
-                m.latency.count,
-                m.bytes,
-                m.latency.mean()
-            );
-        }
-        out
-    }
-}
-
 /// The per-backend event sink. Starts disabled; a disabled tracer's
 /// record methods are a single branch and a return.
 #[derive(Debug, Clone, Default)]
@@ -696,60 +633,6 @@ impl TraceLog {
             .collect()
     }
 
-    /// Derives the counter/histogram registry from the event stream
-    /// (event-kind counts recomputed; registered DDR/peak counters
-    /// carried through).
-    #[must_use]
-    pub fn metrics(&self) -> TraceMetrics {
-        let mut counters = self.counters;
-        counters.spans = 0;
-        counters.absorbed = 0;
-        counters.drained = 0;
-        counters.crossings = 0;
-        counters.replays = 0;
-        counters.responses = 0;
-        counters.barriers = 0;
-        counters.stretches = 0;
-        let mut masters: Vec<MasterTraceMetrics> = Vec::new();
-        let master_slot = |masters: &mut Vec<MasterTraceMetrics>, id: u16| -> usize {
-            match masters.binary_search_by_key(&id, |m| m.master) {
-                Ok(i) => i,
-                Err(i) => {
-                    masters.insert(
-                        i,
-                        MasterTraceMetrics {
-                            master: id,
-                            ..MasterTraceMetrics::default()
-                        },
-                    );
-                    i
-                }
-            }
-        };
-        for event in &self.events {
-            match event.kind {
-                TraceEventKind::Span => {
-                    counters.spans += 1;
-                    let i = master_slot(&mut masters, event.master);
-                    masters[i].latency.record(event.latency());
-                    masters[i].bytes += u64::from(event.bytes);
-                }
-                TraceEventKind::Absorb => {
-                    counters.absorbed += 1;
-                    let i = master_slot(&mut masters, event.master);
-                    masters[i].latency.record(event.latency());
-                }
-                TraceEventKind::Drain => counters.drained += 1,
-                TraceEventKind::BridgeEgress => counters.crossings += 1,
-                TraceEventKind::BridgeReplay => counters.replays += 1,
-                TraceEventKind::BridgeResponse => counters.responses += 1,
-                TraceEventKind::Barrier => counters.barriers += 1,
-                TraceEventKind::Stretch => counters.stretches += 1,
-            }
-        }
-        TraceMetrics { counters, masters }
-    }
-
     /// Renders the stream as compact JSON lines (one event per line,
     /// stable field order). Byte equality of this rendering is the
     /// determinism contract the scheduler-mode tests assert.
@@ -936,18 +819,24 @@ mod tests {
         let mut log = tracer.take();
         log.counters.dram_row_hits = 7;
         log.counters.dram_accesses = 10;
-        let metrics = log.metrics();
-        assert_eq!(metrics.counters.spans, 2);
-        assert_eq!(metrics.counters.absorbed, 1);
-        assert_eq!(metrics.counters.barriers, 1);
-        assert_eq!(metrics.counters.dram_misses(), 3);
-        assert_eq!(metrics.masters.len(), 2);
-        assert_eq!(metrics.masters[0].master, 2);
-        assert_eq!(metrics.masters[0].latency.count, 2);
-        assert_eq!(metrics.masters[0].bytes, 128);
-        let summary = metrics.format_summary();
-        assert!(summary.contains("2 spans"));
-        assert!(summary.contains("m2"));
+        assert_eq!(log.counters.dram_misses(), 3);
+        let mut histogram = LatencyHistogram::default();
+        for event in log.events.iter().filter(|e| e.kind == TraceEventKind::Span) {
+            histogram.record(event.latency());
+        }
+        assert_eq!(histogram.count, 2);
+        assert_eq!(histogram.buckets[4], 2);
+        assert!((histogram.mean() - 16.0).abs() < 1e-9);
+        let profile = crate::profile::Profile::from_log(&log, Default::default());
+        assert_eq!(profile.events, 4);
+        assert_eq!(profile.scheduler_events, 1);
+        assert_eq!(profile.masters.len(), 2);
+        assert_eq!(profile.masters[0].key, 2);
+        assert_eq!(profile.masters[0].count, 2);
+        assert_eq!(profile.masters[0].bytes, 128);
+        let table = profile.format_table();
+        assert!(table.contains("4 events (1 scheduler)"));
+        assert!(table.contains("m2"));
     }
 
     #[test]

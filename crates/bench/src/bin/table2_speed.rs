@@ -165,7 +165,7 @@ fn main() {
         }
     };
     if !quiet {
-        println!("{}", record.speed_report().format_table());
+        println!("{}", record.format_table());
         println!("measured models:");
         for model in &record.models {
             // Sharded platforms also surface their synchronization counters:

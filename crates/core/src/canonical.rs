@@ -22,6 +22,7 @@
 use analysis::canon::{CanonError, CanonValue};
 use analysis::report::ModelKind;
 
+use crate::platform::PlatformConfig;
 use crate::scenario::ScenarioSpec;
 use ahb_multi::topology::{ShardSet, WindowSpec};
 use ahb_multi::{BridgeConfig, ShardBackendKind, Topology};
@@ -524,7 +525,7 @@ impl Canonical for Topology {
             })
             .collect::<Result<Vec<_>, CanonError>>()
             .map_err(|e| e.within("shard_ddr"))?;
-        Ok(Topology {
+        let topology = Topology {
             shards,
             window,
             default_link: field(value, "default_link")?,
@@ -532,7 +533,16 @@ impl Canonical for Topology {
             posted_reads: bool_field(value, "posted_reads")?,
             shard_params,
             shard_ddr,
-        })
+        };
+        // A decoded topology is built by `PlatformConfig::build_multi`,
+        // which gives a uniform topology the default shard count; an
+        // override naming a missing shard is rejected here, not by a
+        // panic at build time.
+        let shards = topology
+            .shard_count()
+            .unwrap_or(PlatformConfig::DEFAULT_SHARDS);
+        topology.validate_links(shards).map_err(CanonError::new)?;
+        Ok(topology)
     }
 }
 
@@ -640,6 +650,20 @@ mod tests {
                 .with_shard_params(1, AhbPlusParams::plain_ahb())
                 .with_shard_ddr(3, DdrConfig::without_interleaving()),
         );
+    }
+
+    #[test]
+    fn topologies_with_dangling_or_self_links_are_rejected() {
+        let link = BridgeConfig::ahb_plus();
+        // Uniform topologies are built with the default shard count.
+        let dangling = Topology::uniform(ShardBackendKind::Tlm).with_link(0, 7, link);
+        let error = Topology::from_canon(&dangling.to_canon()).unwrap_err();
+        assert!(error.to_string().contains("outside 0..2"), "{error}");
+        let selfish = Topology::het_2x2().with_link(3, 3, link);
+        let error = Topology::from_canon(&selfish.to_canon()).unwrap_err();
+        assert!(error.to_string().contains("self-link"), "{error}");
+        let ddr = Topology::het_2x2().with_shard_ddr(4, DdrConfig::without_interleaving());
+        assert!(Topology::from_canon(&ddr.to_canon()).is_err());
     }
 
     #[test]

@@ -110,7 +110,7 @@
 //!   backend pair lockstepped over the scenario catalogue, per-counter
 //!   error percentages, `BENCH_accuracy.json`.
 //! * [`speed`] — the §4 speed experiment over the registered model set
-//!   ([`analysis::SpeedReport`], `BENCH_speed.json`).
+//!   ([`analysis::SpeedBenchRecord`], `BENCH_speed.json`).
 //!
 //! # Adding another backend
 //!
@@ -186,6 +186,7 @@
 //!
 //! ```
 //! use ahbplus::{BusModel, PlatformConfig};
+//! use analysis::profile::{Profile, ProfileOptions};
 //! use traffic::pattern_a;
 //!
 //! let config = PlatformConfig::new(pattern_a(), 10, 7);
@@ -194,10 +195,13 @@
 //! tlm.run();
 //! let log = tlm.take_trace().expect("tracing was on");
 //! assert!(!log.events.is_empty());
-//! // Derived counter/histogram registry: per-master latency histograms,
-//! // DRAM bank hit/miss, write-buffer and bridge-FIFO peaks.
-//! let metrics = log.metrics();
-//! assert!(metrics.counters.spans > 0);
+//! // Registered counters: DRAM bank hit/miss, write-buffer and
+//! // bridge-FIFO peaks.
+//! assert!(log.counters.dram_accesses > 0);
+//! // Per-master exact latency percentiles and their attribution.
+//! let profile = Profile::from_log(&log, ProfileOptions::default());
+//! assert!(profile.overall.count > 0);
+//! assert!(profile.masters.iter().all(|m| m.percentiles.p50 <= m.percentiles.p99));
 //! // Exporters: chrome://tracing / Perfetto JSON, or compact JSON lines.
 //! assert!(log.to_perfetto_json("demo").contains("\"traceEvents\""));
 //! assert!(log.to_json_lines().contains("\"kind\""));
@@ -347,8 +351,7 @@ pub use simulation::{
     LockstepReport, Simulation, SnapshotSink, TraceDiff,
 };
 pub use speed::{
-    measure_models, measure_models_with_reps, measure_speed, measure_speed_record, standard_models,
-    ModelSpec,
+    measure_models, measure_models_with_reps, measure_speed_record, standard_models, ModelSpec,
 };
 pub use validation::{validate_pattern, validate_table1, Table1};
 
@@ -361,7 +364,7 @@ pub use ahb_tlm::{TlmConfig, TlmSystem};
 pub use amba::{AhbPlusParams, ArbiterConfig, ArbitrationFilter};
 pub use analysis::{
     AccuracyBenchRecord, AccuracyReport, BusModel, ModelComparison, ModelKind, Probe, SimReport,
-    SpeedReport, TraceEvent, TraceLog, TraceMetrics, Tracer,
+    SpeedBenchRecord, TraceEvent, TraceLog, Tracer,
 };
 pub use ddrc::{DdrConfig, DdrController, DdrGeometry, DdrTiming};
 pub use traffic::{pattern_a, pattern_b, pattern_c, MasterProfile, TrafficPattern, Workload};

@@ -16,7 +16,7 @@
 
 use analysis::model::{BusModel, SyncStats};
 use analysis::report::SimReport;
-use analysis::speed::{ModelMeasurement, SpeedBenchRecord, SpeedReport};
+use analysis::speed::{ModelMeasurement, SpeedBenchRecord};
 
 use crate::platform::PlatformConfig;
 
@@ -383,6 +383,7 @@ pub fn measure_models_with_reps(
         workload: workload.to_owned(),
         transactions_per_master: config.transactions_per_master,
         seed: config.seed,
+        host_cores: std::thread::available_parallelism().map_or(1, usize::from),
         models,
     })
 }
@@ -393,13 +394,6 @@ pub fn measure_models_with_reps(
 pub fn measure_speed_record(config: &PlatformConfig, workload: &str) -> SpeedBenchRecord {
     measure_models(config, workload, &standard_models(), None)
         .expect("unfiltered measurement cannot name unknown models")
-}
-
-/// Runs the standard measurements and condenses them into the
-/// three-number §4 summary.
-#[must_use]
-pub fn measure_speed(config: &PlatformConfig) -> SpeedReport {
-    measure_speed_record(config, "ad-hoc").speed_report()
 }
 
 #[cfg(test)]
@@ -413,13 +407,14 @@ mod tests {
         // Keep the workload small so the unit test stays quick; the full
         // measurement lives in the speed benchmark.
         let config = PlatformConfig::new(pattern_a(), 60, 13);
-        let speed = measure_speed(&config);
+        let record = measure_speed_record(&config, "t");
+        let throughput = |name| record.model(name).expect("measured").kcycles_per_sec;
         assert!(
-            speed.tlm_kcycles_per_sec > speed.rtl_kcycles_per_sec,
-            "transaction-level model must simulate faster than the RTL model: {speed}"
+            throughput(model_names::TLM) > throughput(model_names::RTL),
+            "transaction-level model must simulate faster than the RTL model: {record}"
         );
-        assert!(speed.speedup() > 1.0);
-        assert!(speed.tlm_single_master_kcycles_per_sec.is_some());
+        assert!(record.speedup() > 1.0);
+        assert!(record.model(model_names::TLM_SINGLE_MASTER).is_some());
     }
 
     #[test]
@@ -464,7 +459,11 @@ mod tests {
         assert_eq!(record.models[0].name, model_names::TLM);
         assert!(record.model(model_names::RTL).is_none());
         // The derived summary degrades unmeasured models gracefully.
-        assert!(record.speed_report().rtl_kcycles_per_sec.is_nan());
+        assert!(record.speedup().is_nan());
+        assert_eq!(
+            record.host_cores,
+            std::thread::available_parallelism().map_or(1, usize::from)
+        );
     }
 
     #[test]

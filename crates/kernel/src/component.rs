@@ -1,31 +1,6 @@
 //! Clocked component abstraction for the two-step cycle-based engine.
 
-use std::fmt;
-
 use crate::time::Cycle;
-
-/// Identifier of a component registered with a [`crate::engine::ClockEngine`].
-///
-/// The identifier doubles as the evaluation order: components are evaluated
-/// in ascending id order within the evaluate phase of each cycle. Because
-/// evaluation only observes values committed in the previous cycle, the order
-/// does not affect results; it only makes traces reproducible.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ComponentId(pub(crate) usize);
-
-impl ComponentId {
-    /// Returns the raw index of this component.
-    #[must_use]
-    pub const fn index(self) -> usize {
-        self.0
-    }
-}
-
-impl fmt::Display for ComponentId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "component#{}", self.0)
-    }
-}
 
 /// A hardware block stepped by the two-step cycle-based engine.
 ///
@@ -91,10 +66,9 @@ pub trait Clocked {
     /// component raises no new activity on its own before
     /// [`Clocked::wake_at`].
     ///
-    /// When every component registered with a
-    /// [`crate::engine::ClockEngine`] reports quiescence, the engine may
-    /// fast-forward simulated time in one jump instead of virtual-
-    /// dispatching both phases on every component every cycle. A component
+    /// When every block of a platform reports quiescence, the platform's
+    /// run loop may fast-forward simulated time in one jump instead of
+    /// stepping both phases on every block every cycle. A component
     /// that cannot cheaply prove quiescence must keep the default (`false`),
     /// which disables skipping — correctness first, speed second.
     ///
@@ -110,7 +84,7 @@ pub trait Clocked {
     /// stays quiescent until some other component's activity reaches it.
     ///
     /// Only consulted when [`Clocked::is_quiescent`] returned `true`. The
-    /// engine fast-forwards to the minimum `wake_at` over all components
+    /// run loop fast-forwards to the minimum `wake_at` over all components
     /// (clamped to the run's end), so a periodic component (a refresh
     /// timer, a frame-paced master) must report its next deadline here.
     fn wake_at(&self) -> Option<Cycle> {
@@ -179,12 +153,5 @@ mod tests {
         assert!(!sr.stage0.get());
         assert!(!sr.stage1.get());
         assert_eq!(sr.name(), "shift_reg");
-    }
-
-    #[test]
-    fn component_id_display_and_index() {
-        let id = ComponentId(4);
-        assert_eq!(id.index(), 4);
-        assert_eq!(id.to_string(), "component#4");
     }
 }

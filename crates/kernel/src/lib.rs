@@ -3,22 +3,23 @@
 //!
 //! The original paper builds its models on top of a commercial *2-step
 //! cycle-based* simulation tool and uses *method-based* (function call)
-//! modeling instead of thread-based processes. This crate provides the same
-//! two execution styles in plain Rust:
+//! modeling instead of thread-based processes. The backends here do the
+//! same: each one steps its own components by direct calls inside its run
+//! loop, so this crate holds only the small pieces they share:
 //!
-//! * [`engine::run_clocked`] / [`engine::ClockEngine`] — a two-phase
-//!   (evaluate, then commit) cycle-based engine used by the pin-accurate
-//!   RTL-style model. Every registered component is stepped every cycle,
-//!   which is exactly why signal-level simulation is slow.
-//! * [`event::EventQueue`] — a hierarchical timing-wheel event queue used
-//!   by the transaction-level model: O(1) amortized schedule/pop inside the
-//!   wheel horizon, an overflow tree beyond it, and O(1) cancellation via
-//!   generation-stamped slots.
+//! * [`component`] — the [`Clocked`] evaluate/commit contract of the
+//!   pin-accurate model's blocks, including the idle-skip hooks below.
+//! * [`signal`] — two-phase [`Register`]s (loads become visible at commit).
+//! * [`time`] — strongly-typed cycle counts.
+//! * [`rng`] — deterministic pseudo random number generation so that the
+//!   RTL and TLM runs replay bit-identical stimulus.
+//! * [`stats`] — monotone counters and integer cycle-count statistics.
+//! * [`assertion`] — simulation-time property checking (paper §3.5).
 //!
 //! # Idle-skip contract
 //!
-//! The two-phase engine normally virtual-dispatches `eval` and `commit` on
-//! every component every cycle. Components that can cheaply prove they are
+//! A cycle-based run loop normally calls `eval` and `commit` on every
+//! component every cycle. Components that can cheaply prove they are
 //! *quiescent* opt into fast-forwarding by overriding two trait hooks:
 //!
 //! * [`component::Clocked::is_quiescent`] — return `true` at cycle `T` only
@@ -29,34 +30,25 @@
 //!   the (currently quiescent) component becomes active *of its own
 //!   accord*; `None` means "only other components' activity can wake me".
 //!
-//! [`engine::ClockEngine::run_for`] fast-forwards time in one jump while
-//! **all** components report quiescence, bounded by the minimum `wake_at`
-//! and the end of the run; skipped cycles still count toward the report and
-//! `cycles_run`. `run_until` never skips, because its predicate must be
-//! evaluated after every cycle.
-//!
-//! Supporting utilities shared by both models:
-//!
-//! * [`time`] — strongly-typed cycle counts.
-//! * [`signal`] — two-phase registers/signals with edge detection.
-//! * [`rng`] — deterministic pseudo random number generation so that the
-//!   RTL and TLM runs replay bit-identical stimulus.
-//! * [`stats`] — counters, histograms, running statistics, busy trackers.
-//! * [`trace`] — lightweight value-change tracing (VCD-style).
-//! * [`assertion`] — simulation-time property checking (paper §3.5).
+//! The pin-accurate platform in `ahb-rtl` fast-forwards time in one jump
+//! while **all** of its blocks report quiescence, bounded by the minimum
+//! `wake_at` and the end of the run.
 //!
 //! # Example
 //!
 //! ```
-//! use simkern::time::Cycle;
-//! use simkern::event::EventQueue;
+//! use simkern::rng::SimRng;
+//! use simkern::signal::Register;
 //!
-//! let mut queue: EventQueue<&'static str> = EventQueue::new();
-//! queue.schedule(Cycle::new(5), "five");
-//! queue.schedule(Cycle::new(2), "two");
-//! let (when, what) = queue.pop().expect("event");
-//! assert_eq!(when, Cycle::new(2));
-//! assert_eq!(what, "two");
+//! // Identical seeds replay identical stimulus.
+//! let (mut a, mut b) = (SimRng::new(7), SimRng::new(7));
+//! assert_eq!(a.next_u64(), b.next_u64());
+//!
+//! let mut hready = Register::new(false);
+//! hready.load(true);
+//! assert!(!hready.get(), "not visible before the clock edge");
+//! hready.commit();
+//! assert!(hready.get());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -64,19 +56,14 @@
 
 pub mod assertion;
 pub mod component;
-pub mod engine;
-pub mod event;
 pub mod rng;
 pub mod signal;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use assertion::{AssertionKind, AssertionSink, Severity, Violation};
-pub use component::{Clocked, ComponentId};
-pub use engine::{run_clocked, ClockEngine, EngineReport};
-pub use event::{EventId, EventQueue};
+pub use component::Clocked;
 pub use rng::SimRng;
-pub use signal::{Edge, Register, Signal};
-pub use stats::{BusyTracker, Counter, CycleStats, Histogram, RunningStats};
+pub use signal::Register;
+pub use stats::{Counter, CycleStats};
 pub use time::{Cycle, CycleDelta};

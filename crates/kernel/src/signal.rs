@@ -1,4 +1,4 @@
-//! Two-phase signals and registers for the pin-accurate model.
+//! Two-phase registers for the pin-accurate model.
 //!
 //! The paper's RTL reference model is simulated with a *2-step cycle-based*
 //! engine: within one clock cycle every component first **evaluates** its
@@ -7,53 +7,44 @@
 //! the classic evaluate/update split that avoids ordering races between
 //! components without resorting to delta cycles.
 //!
-//! [`Signal`] implements that discipline for a single value; [`Register`] is
-//! the same thing with an explicit reset value and an `Edge` report so that
-//! FSM models can trigger on changes.
+//! [`Register`] implements that discipline for a single value, with an
+//! explicit reset value so whole component states can be returned to
+//! power-on conditions.
 
 use std::fmt;
 
-/// The change observed on a [`Register`] or [`Signal`] at the last commit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Edge {
-    /// The committed value is identical to the previous value.
-    Stable,
-    /// The committed value differs from the previous value.
-    Changed,
-}
-
-/// A two-phase signal.
+/// A clocked two-phase register with a reset value.
 ///
 /// Reads during the evaluate phase observe the value committed at the end of
-/// the *previous* cycle; writes are buffered and become visible only after
-/// [`Signal::commit`].
+/// the *previous* cycle; loads are buffered and become visible only after
+/// [`Register::commit`].
 ///
 /// # Example
 ///
 /// ```
-/// use simkern::signal::Signal;
+/// use simkern::signal::Register;
 ///
-/// let mut hgrant = Signal::new(false);
-/// hgrant.set(true);
-/// assert!(!hgrant.get(), "write is not visible before commit");
+/// let mut hgrant = Register::new(false);
+/// hgrant.load(true);
+/// assert!(!hgrant.get(), "load is not visible before commit");
 /// hgrant.commit();
 /// assert!(hgrant.get());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Signal<T> {
+pub struct Register<T> {
     current: T,
     next: T,
-    dirty: bool,
+    reset_value: T,
 }
 
-impl<T: Clone + PartialEq> Signal<T> {
-    /// Creates a signal whose current and next value are both `initial`.
+impl<T: Clone> Register<T> {
+    /// Creates a register that resets to `reset_value`.
     #[must_use]
-    pub fn new(initial: T) -> Self {
-        Signal {
-            next: initial.clone(),
-            current: initial,
-            dirty: false,
+    pub fn new(reset_value: T) -> Self {
+        Register {
+            current: reset_value.clone(),
+            next: reset_value.clone(),
+            reset_value,
         }
     }
 
@@ -63,137 +54,34 @@ impl<T: Clone + PartialEq> Signal<T> {
         self.current.clone()
     }
 
-    /// Returns a reference to the value visible in the current evaluate phase.
-    #[must_use]
-    pub fn get_ref(&self) -> &T {
-        &self.current
-    }
-
-    /// Schedules `value` to become visible at the next commit.
-    pub fn set(&mut self, value: T) {
-        self.next = value;
-        self.dirty = true;
-    }
-
-    /// Keeps the current value at the next commit (explicit "hold").
-    pub fn hold(&mut self) {
-        self.next = self.current.clone();
-        self.dirty = false;
-    }
-
-    /// Returns the value that will become visible at the next commit.
-    #[must_use]
-    pub fn pending(&self) -> &T {
-        &self.next
-    }
-
-    /// Returns `true` if a new value has been scheduled since the last commit.
-    #[must_use]
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
-    }
-
-    /// Makes the scheduled value visible and reports whether it changed.
-    pub fn commit(&mut self) -> Edge {
-        let edge = if self.current == self.next {
-            Edge::Stable
-        } else {
-            Edge::Changed
-        };
-        self.current = self.next.clone();
-        self.dirty = false;
-        edge
-    }
-}
-
-impl<T: Clone + PartialEq + Default> Default for Signal<T> {
-    fn default() -> Self {
-        Signal::new(T::default())
-    }
-}
-
-impl<T: fmt::Display> fmt::Display for Signal<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.current)
-    }
-}
-
-/// A clocked register with a reset value.
-///
-/// Behaves like [`Signal`] but remembers its reset value so whole component
-/// states can be returned to power-on conditions, and tracks the last commit
-/// edge for cheap change detection.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Register<T> {
-    signal: Signal<T>,
-    reset_value: T,
-    last_edge: Edge,
-}
-
-impl<T: Clone + PartialEq> Register<T> {
-    /// Creates a register that resets to `reset_value`.
-    #[must_use]
-    pub fn new(reset_value: T) -> Self {
-        Register {
-            signal: Signal::new(reset_value.clone()),
-            reset_value,
-            last_edge: Edge::Stable,
-        }
-    }
-
-    /// Returns the value visible in the current evaluate phase.
-    #[must_use]
-    pub fn get(&self) -> T {
-        self.signal.get()
-    }
-
-    /// Returns a reference to the visible value.
-    #[must_use]
-    pub fn get_ref(&self) -> &T {
-        self.signal.get_ref()
-    }
-
     /// Schedules `value` to be loaded at the next commit.
     pub fn load(&mut self, value: T) {
-        self.signal.set(value);
+        self.next = value;
     }
 
     /// Keeps the current value at the next commit.
     pub fn hold(&mut self) {
-        self.signal.hold();
+        self.next = self.current.clone();
     }
 
     /// Schedules the reset value to be loaded at the next commit.
     pub fn reset(&mut self) {
-        self.signal.set(self.reset_value.clone());
+        self.next = self.reset_value.clone();
     }
 
     /// Immediately forces the register back to its reset value (both phases).
     pub fn reset_now(&mut self) {
-        self.signal = Signal::new(self.reset_value.clone());
-        self.last_edge = Edge::Stable;
+        self.current = self.reset_value.clone();
+        self.next = self.reset_value.clone();
     }
 
-    /// Commits the scheduled value; returns the observed edge.
-    pub fn commit(&mut self) -> Edge {
-        self.last_edge = self.signal.commit();
-        self.last_edge
-    }
-
-    /// The edge observed at the last commit.
-    #[must_use]
-    pub fn last_edge(&self) -> Edge {
-        self.last_edge
-    }
-
-    /// Returns `true` if the last commit changed the stored value.
-    #[must_use]
-    pub fn changed(&self) -> bool {
-        self.last_edge == Edge::Changed
+    /// Makes the scheduled value visible.
+    pub fn commit(&mut self) {
+        self.current = self.next.clone();
     }
 }
 
-impl<T: Clone + PartialEq + Default> Default for Register<T> {
+impl<T: Clone + Default> Default for Register<T> {
     fn default() -> Self {
         Register::new(T::default())
     }
@@ -201,7 +89,7 @@ impl<T: Clone + PartialEq + Default> Default for Register<T> {
 
 impl<T: fmt::Display> fmt::Display for Register<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.signal)
+        write!(f, "{}", self.current)
     }
 }
 
@@ -211,40 +99,40 @@ mod tests {
 
     #[test]
     fn writes_become_visible_only_after_commit() {
-        let mut sig = Signal::new(0u32);
-        sig.set(7);
-        assert_eq!(sig.get(), 0);
-        assert_eq!(*sig.pending(), 7);
-        assert!(sig.is_dirty());
-        assert_eq!(sig.commit(), Edge::Changed);
-        assert_eq!(sig.get(), 7);
-        assert!(!sig.is_dirty());
+        let mut reg = Register::new(0u32);
+        reg.load(7);
+        assert_eq!(reg.get(), 0);
+        reg.commit();
+        assert_eq!(reg.get(), 7);
     }
 
     #[test]
     fn commit_without_write_is_stable() {
-        let mut sig = Signal::new(3u8);
-        assert_eq!(sig.commit(), Edge::Stable);
-        sig.set(3);
-        assert_eq!(sig.commit(), Edge::Stable, "same value is not a change");
+        let mut reg = Register::new(3u8);
+        reg.commit();
+        assert_eq!(reg.get(), 3);
+        reg.load(5);
+        reg.commit();
+        reg.commit();
+        assert_eq!(reg.get(), 5, "a committed load persists until replaced");
     }
 
     #[test]
     fn hold_discards_scheduled_write() {
-        let mut sig = Signal::new(1u8);
-        sig.set(9);
-        sig.hold();
-        assert_eq!(sig.commit(), Edge::Stable);
-        assert_eq!(sig.get(), 1);
+        let mut reg = Register::new(1u8);
+        reg.load(9);
+        reg.hold();
+        reg.commit();
+        assert_eq!(reg.get(), 1);
     }
 
     #[test]
     fn last_write_in_a_cycle_wins() {
-        let mut sig = Signal::new(0u8);
-        sig.set(1);
-        sig.set(2);
-        sig.commit();
-        assert_eq!(sig.get(), 2);
+        let mut reg = Register::new(0u8);
+        reg.load(1);
+        reg.load(2);
+        reg.commit();
+        assert_eq!(reg.get(), 2);
     }
 
     #[test]
@@ -253,7 +141,6 @@ mod tests {
         reg.load(0x55);
         reg.commit();
         assert_eq!(reg.get(), 0x55);
-        assert!(reg.changed());
         reg.reset();
         reg.commit();
         assert_eq!(reg.get(), 0xAA);
@@ -268,24 +155,14 @@ mod tests {
         reg.load(true);
         reg.reset_now();
         assert!(!reg.get());
-        assert_eq!(reg.commit(), Edge::Stable);
-    }
-
-    #[test]
-    fn register_tracks_last_edge() {
-        let mut reg = Register::new(0u32);
         reg.commit();
-        assert_eq!(reg.last_edge(), Edge::Stable);
-        reg.load(4);
-        reg.commit();
-        assert_eq!(reg.last_edge(), Edge::Changed);
+        assert!(!reg.get(), "reset_now also drops the scheduled load");
     }
 
     #[test]
     fn default_signal_uses_type_default() {
-        let sig: Signal<u16> = Signal::default();
-        assert_eq!(sig.get(), 0);
         let reg: Register<u16> = Register::default();
         assert_eq!(reg.get(), 0);
+        assert_eq!(reg.to_string(), "0");
     }
 }
