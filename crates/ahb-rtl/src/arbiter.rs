@@ -36,6 +36,9 @@ pub struct RtlArbiter {
     qos: QosRegisterFile,
     bank_affinity_from_bi: bool,
     grants: u64,
+    /// Request views of the current decision, reused across cycles so the
+    /// cycle loop allocates nothing.
+    views: Vec<RequestView>,
 }
 
 impl RtlArbiter {
@@ -47,6 +50,7 @@ impl RtlArbiter {
             qos: QosRegisterFile::new(),
             bank_affinity_from_bi,
             grants: 0,
+            views: Vec::new(),
         }
     }
 
@@ -61,30 +65,29 @@ impl RtlArbiter {
         self.grants
     }
 
-    /// Runs the filter chain over the sampled requests.
+    /// Runs the filter chain over the sampled requests. Takes `&mut self`
+    /// only to reuse the internal view buffer; no decision state changes
+    /// until [`RtlArbiter::record_grant`].
     #[must_use]
     pub fn decide(
-        &self,
+        &mut self,
         now: Cycle,
         sampled: &[SampledRequest],
         ddr: &DdrController,
     ) -> Option<Decision> {
-        let views: Vec<RequestView> = sampled
-            .iter()
-            .map(|request| {
-                let mut view = RequestView::new(
-                    request.master,
-                    self.qos.lookup(request.master),
-                    now.saturating_since(request.requested_at).value(),
-                );
-                view.is_write_buffer = request.is_write_buffer;
-                view.write_buffer_fill = request.write_buffer_fill;
-                view.bank_ready =
-                    self.bank_affinity_from_bi && ddr.is_addr_ready(now, request.addr);
-                view
-            })
-            .collect();
-        self.policy.decide(&views)
+        self.views.clear();
+        for request in sampled {
+            let mut view = RequestView::new(
+                request.master,
+                self.qos.lookup(request.master),
+                now.saturating_since(request.requested_at).value(),
+            );
+            view.is_write_buffer = request.is_write_buffer;
+            view.write_buffer_fill = request.write_buffer_fill;
+            view.bank_ready = self.bank_affinity_from_bi && ddr.is_addr_ready(now, request.addr);
+            self.views.push(view);
+        }
+        self.policy.decide(&self.views)
     }
 
     /// Commits a grant (advances the round-robin pointer).
@@ -111,7 +114,7 @@ mod tests {
 
     #[test]
     fn empty_sample_set_gives_no_grant() {
-        let arbiter = RtlArbiter::new(ArbiterConfig::ahb_plus(), true);
+        let mut arbiter = RtlArbiter::new(ArbiterConfig::ahb_plus(), true);
         let ddr = DdrController::new(DdrConfig::ahb_plus());
         assert!(arbiter.decide(Cycle::new(0), &[], &ddr).is_none());
     }

@@ -60,6 +60,9 @@ pub struct RtlSystem {
     pins: Vec<MasterPins>,
     shared: SharedPins,
     arbiter: RtlArbiter,
+    /// This cycle's arbitration candidates, reused across cycles so the
+    /// cycle loop allocates nothing.
+    sampled: Vec<SampledRequest>,
     write_buffer: RtlWriteBuffer,
     slave: DdrSlave,
     checker: ProtocolChecker,
@@ -115,6 +118,7 @@ impl RtlSystem {
             pins,
             shared: SharedPins::new(),
             arbiter,
+            sampled: Vec::new(),
             write_buffer,
             slave,
             checker: ProtocolChecker::new(),
@@ -376,11 +380,11 @@ impl RtlSystem {
             self.shared.hgrant.load(None);
             return;
         }
-        let mut sampled = Vec::with_capacity(self.masters.len() + 1);
+        self.sampled.clear();
         for master in &self.masters {
             if master.is_requesting() {
                 if let Some(txn) = master.current() {
-                    sampled.push(SampledRequest {
+                    self.sampled.push(SampledRequest {
                         master: master.id(),
                         requested_at: master.requested_at(),
                         addr: txn.addr,
@@ -395,7 +399,7 @@ impl RtlSystem {
         let buffer_busy = self.burst.as_ref().is_some_and(|b| b.via_write_buffer);
         if !buffer_busy {
             if let Some(head) = self.write_buffer.head() {
-                sampled.push(SampledRequest {
+                self.sampled.push(SampledRequest {
                     master: RTL_WRITE_BUFFER_MASTER,
                     requested_at: head.absorbed_at,
                     addr: head.txn.addr,
@@ -404,19 +408,30 @@ impl RtlSystem {
                 });
             }
         }
-        match self.arbiter.decide(now, &sampled, self.slave.controller()) {
-            Some(decision) => {
+        // A sole candidate wins every filter chain, so only a contested
+        // cycle runs the filters.
+        let winner = match self.sampled.as_slice() {
+            [] => None,
+            [sole] => Some(sole.master),
+            _ => self
+                .arbiter
+                .decide(now, &self.sampled, self.slave.controller())
+                .map(|decision| decision.master),
+        };
+        match winner {
+            Some(winner) => {
                 let previous = self.shared.hgrant.get();
-                self.shared.hgrant.load(Some(decision.master));
+                self.shared.hgrant.load(Some(winner));
                 // Bus Interface: forward the next transaction's address so
                 // the DDR controller can open its bank in advance.
                 if burst_active && self.config.params.bi_next_transaction_hints {
-                    let addr = sampled
+                    let addr = self
+                        .sampled
                         .iter()
-                        .find(|s| s.master == decision.master)
+                        .find(|s| s.master == winner)
                         .map(|s| s.addr);
                     if let Some(addr) = addr {
-                        if previous != Some(decision.master) || self.last_bi_hint != Some(addr) {
+                        if previous != Some(winner) || self.last_bi_hint != Some(addr) {
                             self.slave.prepare(now, addr);
                             self.last_bi_hint = Some(addr);
                         }

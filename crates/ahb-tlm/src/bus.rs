@@ -141,8 +141,9 @@ pub struct TlmSystem {
     /// Master speculatively selected to own the bus next (request
     /// pipelining); cleared on use.
     prepared_next: Option<MasterId>,
-    /// Every trace transaction passed `validate_transaction` at build time,
-    /// so the per-issue model-consistency check can be skipped.
+    /// Every trace transaction passed `validate_transaction` when its trace
+    /// was generated (read from the traces at build time), so the
+    /// per-issue model-consistency check can be skipped.
     traces_valid: bool,
     /// Number of masters whose trace has fully drained (completion check
     /// without a per-step scan).

@@ -134,14 +134,13 @@ impl TraceMaster {
     }
 
     /// Returns `true` when every transaction of this master's trace passes
-    /// `amba::check::validate_transaction`. Computed once so the bus can
-    /// skip the per-issue consistency re-check on pre-validated traces.
+    /// `amba::check::validate_transaction`, so the bus can skip the
+    /// per-issue consistency re-check. Validation happens once, when the
+    /// trace is generated; this reads the trace's record of it
+    /// ([`TrafficTrace::is_validated`]) instead of re-checking every item.
     #[must_use]
     pub fn trace_is_valid(&self) -> bool {
-        self.items
-            .items()
-            .iter()
-            .all(|item| amba::check::validate_transaction(&item.txn).is_ok())
+        self.items.is_validated()
     }
 
     /// Like [`TraceMaster::pending_at`], but returns (and caches) a pooled

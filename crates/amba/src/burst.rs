@@ -157,10 +157,25 @@ impl BurstSequence {
     /// Returns `true` if any beat of the burst would fall into a different
     /// 1 KB block than the first beat — the boundary the AMBA 2.0
     /// specification forbids bursts to cross.
+    ///
+    /// Constant time. An incrementing burst's beats ascend from the first,
+    /// so it crosses exactly when its last beat lies past the first beat's
+    /// block (computed in `u64`, so a burst running off the top of the
+    /// address space counts as crossing, like its wrapped-around beats
+    /// do). A wrapping burst visits every beat slot of its aligned wrap
+    /// block, so it crosses exactly when that block's first and last slot
+    /// lie in different 1 KB blocks.
     #[must_use]
     pub fn crosses_1kb_boundary(&self) -> bool {
-        let first_block = self.beat_addr(0).kib_block();
-        (1..self.beats()).any(|i| self.beat_addr(i).kib_block() != first_block)
+        let step = self.size.bytes();
+        if self.kind.is_wrapping() {
+            let total = step * self.kind.beats();
+            let base = self.start.align_down(total);
+            base.kib_block() != base.wrapping_add(total - step).kib_block()
+        } else {
+            let span = u64::from(self.beats() - 1) * u64::from(step);
+            u64::from(self.start.offset_in(1024)) + span >= 1024
+        }
     }
 
     /// Total number of bytes moved by the burst.
@@ -265,6 +280,75 @@ mod tests {
         assert!(!wrapping.crosses_1kb_boundary());
         let safe = BurstSequence::new(Addr::new(0x0000_0000), BurstKind::Incr16, HSize::Word);
         assert!(!safe.crosses_1kb_boundary());
+    }
+
+    /// The per-beat walk the constant-time check replaces, kept as its
+    /// oracle: does any beat leave the first beat's 1 KB block?
+    fn crosses_by_walk(seq: &BurstSequence) -> bool {
+        let first_block = seq.beat_addr(0).kib_block();
+        (1..seq.beats()).any(|i| seq.beat_addr(i).kib_block() != first_block)
+    }
+
+    #[test]
+    fn constant_time_boundary_check_matches_the_per_beat_walk() {
+        let sizes = [
+            HSize::Byte,
+            HSize::Halfword,
+            HSize::Word,
+            HSize::Doubleword,
+            HSize::Line4,
+            HSize::Line8,
+        ];
+        let mut kinds = vec![
+            BurstKind::Single,
+            BurstKind::Incr4,
+            BurstKind::Incr8,
+            BurstKind::Incr16,
+            BurstKind::Wrap4,
+            BurstKind::Wrap8,
+            BurstKind::Wrap16,
+        ];
+        kinds.extend(
+            [
+                0, 1, 2, 3, 5, 7, 31, 32, 33, 255, 256, 257, 1023, 1024, 1025,
+            ]
+            .map(BurstKind::Incr),
+        );
+        // Every offset inside a 1 KB block (aligned and misaligned), in a
+        // low block, a mid block and the top block of the address space,
+        // where incrementing beats wrap past 0xFFFF_FFFF.
+        let blocks = [0u32, 0x2000_0400, 0xFFFF_FC00];
+        let mut cases = 0u32;
+        for &size in &sizes {
+            for &kind in &kinds {
+                for &block in &blocks {
+                    for offset in 0..1024u32 {
+                        let seq = BurstSequence::new(Addr::new(block + offset), kind, size);
+                        assert_eq!(
+                            seq.crosses_1kb_boundary(),
+                            crosses_by_walk(&seq),
+                            "{kind:?} of {size:?} from {:#010x}",
+                            block + offset
+                        );
+                        cases += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(cases, 6 * 22 * 3 * 1024);
+    }
+
+    #[test]
+    fn huge_incrementing_bursts_cross_without_overflow() {
+        // Spans beyond 4 GiB: the walk would take billions of beats and its
+        // u32 offsets would wrap, so only the closed form is checked here.
+        for beats in [1 << 26, u32::MAX] {
+            for start in [0u32, 0x3FC, 0xFFFF_FFE0] {
+                let seq =
+                    BurstSequence::new(Addr::new(start), BurstKind::Incr(beats), HSize::Line8);
+                assert!(seq.crosses_1kb_boundary());
+            }
+        }
     }
 
     #[test]

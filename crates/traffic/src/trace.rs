@@ -36,38 +36,32 @@ pub struct TraceItem {
 }
 
 /// A finite, deterministic request trace for one master.
+///
+/// Protocol validation happens once, at generation: [`Workload::generate`]
+/// asserts `amba::check::validate_transaction` on every item it produces
+/// and records the fact in the trace ([`TrafficTrace::is_validated`]), so
+/// bus models built from the trace read the record instead of re-checking
+/// every item at each build.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrafficTrace {
     master: MasterId,
     items: Vec<TraceItem>,
+    /// Every item passed `validate_transaction`.
+    validated: bool,
 }
 
 impl TrafficTrace {
-    /// An empty trace owned by `master`. Dynamic ports (the AHB-to-AHB
-    /// bridge master of a multi-bus platform) start from this and receive
-    /// their items at runtime via [`TrafficTrace::push`].
+    /// An empty trace owned by `master` (vacuously validated). Dynamic
+    /// ports (the AHB-to-AHB bridge master of a multi-bus platform) start
+    /// from this and receive their items at runtime via
+    /// [`TrafficTrace::insert`].
     #[must_use]
     pub fn empty(master: MasterId) -> Self {
         TrafficTrace {
             master,
             items: Vec::new(),
+            validated: true,
         }
-    }
-
-    /// Appends one item to the trace. Used by dynamic ports whose work
-    /// arrives during simulation (bridge replays); generated workloads are
-    /// immutable after expansion.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the item's transaction does not belong to this trace's
-    /// master.
-    pub fn push(&mut self, item: TraceItem) {
-        assert_eq!(
-            item.txn.master, self.master,
-            "trace item pushed onto the wrong master's trace"
-        );
-        self.items.push(item);
     }
 
     /// Inserts one item at `index`, shifting later entries back. Dynamic
@@ -75,6 +69,12 @@ impl TrafficTrace {
     /// release time, so the shape of the delivery batches (one per
     /// barrier under a fixed quantum, merged under adaptive lookahead)
     /// cannot influence replay order.
+    ///
+    /// The item is not re-validated: a bridge replay inherits its validity
+    /// from the source transaction, which was checked when its own trace
+    /// was generated (the replay rewrites only the master, id and posting
+    /// flag, none of which the protocol rules read). Debug builds assert
+    /// it.
     ///
     /// # Panics
     ///
@@ -84,6 +84,11 @@ impl TrafficTrace {
         assert_eq!(
             item.txn.master, self.master,
             "trace item inserted into the wrong master's trace"
+        );
+        debug_assert!(
+            validate_transaction(&item.txn).is_ok(),
+            "illegal transaction inserted into a trace: {}",
+            item.txn
         );
         self.items.insert(index, item);
     }
@@ -98,6 +103,14 @@ impl TrafficTrace {
     #[must_use]
     pub fn items(&self) -> &[TraceItem] {
         &self.items
+    }
+
+    /// Returns `true` when every item is known to pass
+    /// `amba::check::validate_transaction` — checked once, by the generator
+    /// — so a bus model may skip its per-issue consistency re-check.
+    #[must_use]
+    pub fn is_validated(&self) -> bool {
+        self.validated
     }
 
     /// Number of requests in the trace.
@@ -177,6 +190,7 @@ impl Workload {
         let mut cursor = profile.region_base;
         let mut next_periodic = Cycle::ZERO;
         let mut id = TransactionId::new(u64::from(self.master.index() as u32) << 32);
+        let weights: Vec<u32> = profile.burst_weights.iter().map(|(_, w)| *w).collect();
 
         for _ in 0..count {
             // Direction.
@@ -187,7 +201,6 @@ impl Workload {
             };
 
             // Burst shape.
-            let weights: Vec<u32> = profile.burst_weights.iter().map(|(_, w)| *w).collect();
             let pick = rng.pick_weighted(&weights).unwrap_or(0);
             let burst = profile.burst_weights[pick].0;
 
@@ -248,6 +261,7 @@ impl Workload {
         TrafficTrace {
             master: self.master,
             items,
+            validated: true,
         }
     }
 }
@@ -286,6 +300,24 @@ mod tests {
                 assert!(validate_transaction(&item.txn).is_ok());
             }
         }
+    }
+
+    #[test]
+    fn generated_and_empty_traces_record_their_validation() {
+        let trace = Workload::new(MasterId::new(1), MasterProfile::cpu(), 4).generate(20);
+        assert!(trace.is_validated());
+        let mut port = TrafficTrace::empty(MasterId::new(9));
+        assert!(port.is_validated());
+        let mut replay = trace.items()[0].txn;
+        replay.master = MasterId::new(9);
+        port.insert(
+            0,
+            TraceItem {
+                release: Release::At(Cycle::new(5)),
+                txn: replay,
+            },
+        );
+        assert!(port.is_validated());
     }
 
     #[test]
