@@ -22,13 +22,15 @@
 use std::collections::VecDeque;
 use std::time::Instant;
 
-use amba::bridge::{BridgeCrossing, BridgePort, CrossingLeg, ReplayStats};
+use amba::bridge::{BridgeEndpoint, BridgePort, CrossingLeg, Parked};
 use amba::check::validate_transaction;
 use amba::ids::MasterId;
 use amba::qos::QosConfig;
-use amba::txn::{Transaction, TransactionId};
+use amba::signal::HResp;
+use amba::txn::{Completion, Transaction, TransactionId};
 use analysis::model::{BusModel, Probe};
-use analysis::report::{BusMetrics, MasterMetrics, ModelKind, SimReport};
+use analysis::recorder::Recorder;
+use analysis::report::{ModelKind, SimReport};
 use analysis::trace::{TraceEventKind, TraceLog, Tracer, FLAG_REMOTE, FLAG_ROW_HIT, FLAG_WRITE};
 use ddrc::DdrGeometry;
 use simkern::time::Cycle;
@@ -82,20 +84,10 @@ impl LatencyTable {
 #[derive(Debug, Clone)]
 struct LtMaster {
     id: MasterId,
-    label: String,
-    qos: QosConfig,
     posted: bool,
     items: TrafficTrace,
     next: usize,
     ready_at: u64,
-    // Integer metric accumulators (averaged only at report time).
-    completed: u64,
-    bytes: u64,
-    last_completion: u64,
-    latency_sum: u64,
-    latency_max: u64,
-    grant_latency_sum: u64,
-    qos_violations: u64,
 }
 
 impl LtMaster {
@@ -132,7 +124,7 @@ impl LtMaster {
         }
     }
 
-    fn new(trace: TrafficTrace, label: &str, qos: QosConfig, posted: bool) -> Self {
+    fn new(trace: TrafficTrace, posted: bool) -> Self {
         let ready_at = match trace.items().first().map(|i| i.release) {
             Some(Release::AfterPrevious(gap)) => gap.value(),
             Some(Release::At(at)) => at.value(),
@@ -140,19 +132,10 @@ impl LtMaster {
         };
         LtMaster {
             id: trace.master(),
-            label: label.to_owned(),
-            qos,
             posted,
             items: trace,
             next: 0,
             ready_at,
-            completed: 0,
-            bytes: 0,
-            last_completion: 0,
-            latency_sum: 0,
-            latency_max: 0,
-            grant_latency_sum: 0,
-            qos_violations: 0,
         }
     }
 
@@ -171,38 +154,6 @@ impl LtMaster {
             };
         }
     }
-
-    /// Records the completion metrics of one transaction of this master.
-    fn record(&mut self, bytes: u32, latency: u64, grant_latency: u64, completed_at: u64) {
-        self.completed += 1;
-        self.bytes += u64::from(bytes);
-        self.last_completion = self.last_completion.max(completed_at);
-        self.latency_sum += latency;
-        self.latency_max = self.latency_max.max(latency);
-        self.grant_latency_sum += grant_latency;
-        let objective = if self.qos.class.is_real_time() {
-            u64::from(self.qos.objective_cycles)
-        } else {
-            u64::MAX
-        };
-        if grant_latency > objective {
-            self.qos_violations += 1;
-        }
-    }
-
-    fn metrics(&self) -> MasterMetrics {
-        let completed = self.completed.max(1) as f64;
-        MasterMetrics {
-            label: self.label.clone(),
-            completed: self.completed,
-            bytes: self.bytes,
-            last_completion_cycle: self.last_completion,
-            avg_latency: self.latency_sum as f64 / completed,
-            max_latency: self.latency_max as f64,
-            avg_grant_latency: self.grant_latency_sum as f64 / completed,
-            qos_violations: self.qos_violations,
-        }
-    }
 }
 
 /// One write absorbed by the batch write buffer, waiting to drain. The
@@ -213,69 +164,6 @@ struct BacklogEntry {
     master_index: usize,
     absorbed_at: u64,
     txn: Transaction,
-}
-
-/// One read transfer stalled on its bridge response (the loosely-timed
-/// mirror of the transaction-level stall table).
-#[derive(Debug, Clone, Copy)]
-struct LtParked {
-    /// Index of the stalled master in `masters`.
-    index: usize,
-    /// The stalled transaction (retirement needs bytes/beats).
-    txn: Transaction,
-    /// Cycle the request was raised (latency accounting).
-    requested_at: u64,
-    /// Cycle the request leg was granted the bus.
-    granted_at: u64,
-}
-
-/// Bridge-port state of a loosely-timed shard inside a multi-bus
-/// platform (mirrors the transaction-level shard's port).
-struct LtBridge {
-    port: BridgePort,
-    /// Index of the bridge replay master in `masters`.
-    ingress_index: usize,
-    /// Crossings issued since the last [`LtSystem::drain_egress`].
-    egress: Vec<BridgeCrossing>,
-    /// Work replayed on behalf of remote shards so far.
-    replayed: ReplayStats,
-    /// Local masters stalled on a non-posted read crossing, keyed by the
-    /// original transaction id the response leg carries back.
-    parked: Vec<(TransactionId, LtParked)>,
-    /// Replays that owe a response: replay id → (origin shard, original
-    /// transaction).
-    owed_responses: Vec<(TransactionId, u8, Transaction)>,
-    /// Per-master release transforms for the lookahead scan (mirrors the
-    /// transaction-level shard): indexed by master index, then trace
-    /// position; `Some((a, b))` means the earliest crossing from that
-    /// point on, given the head releases no earlier than `t`, is
-    /// `max(t + a, b)`; `None` means no remote item remains. The ingress
-    /// master gets an empty table (dynamic trace, covered by the
-    /// egress/owed-response checks).
-    remote_ahead: Vec<Vec<Option<(u64, u64)>>>,
-}
-
-/// Backward min-plus transform table over one static trace — identical
-/// recurrence to the transaction-level shard's: a release rule is the
-/// affine-max function `f(t) = max(t + a, b)` and the table composes the
-/// rules from each position up to the next remote-addressed item.
-fn crossing_transforms(items: &[traffic::TraceItem], port: &BridgePort) -> Vec<Option<(u64, u64)>> {
-    let step = |release: Release| match release {
-        Release::AfterPrevious(gap) => (gap.value(), 0),
-        Release::At(at) => (0, at.value()),
-    };
-    let mut ahead: Vec<Option<(u64, u64)>> = vec![None; items.len() + 1];
-    for p in (0..items.len()).rev() {
-        ahead[p] = if port.map.is_remote(items[p].txn.addr, port.own) {
-            Some((0, 0))
-        } else {
-            ahead[p + 1].map(|(a2, b2)| {
-                let (a1, b1) = step(items[p + 1].release);
-                (a1.saturating_add(a2), b1.saturating_add(a2).max(b2))
-            })
-        };
-    }
-    ahead
 }
 
 /// The loosely-timed AHB+ platform.
@@ -301,12 +189,9 @@ pub struct LtSystem {
     last_completion: u64,
     masters_done: usize,
     traces_valid: bool,
-    // Bus-level accumulators.
-    transactions: u64,
-    total_bytes: u64,
-    data_beats: u64,
-    busy_cycles: u64,
-    contention_cycles: u64,
+    /// Per-master and bus-level metric accumulators (completions, busy
+    /// and contention cycles).
+    recorder: Recorder,
     wb_absorbed: u64,
     wb_drained: u64,
     wb_peak: usize,
@@ -316,9 +201,9 @@ pub struct LtSystem {
     dram_conflicts: u64,
     assertion_errors: u64,
     wall_seconds: f64,
-    /// Bridge-port state when this system is one shard of a multi-bus
+    /// Bridge endpoint when this system is one shard of a multi-bus
     /// platform; `None` on a standalone platform.
-    bridge: Option<LtBridge>,
+    bridge: Option<BridgeEndpoint>,
     /// Structured event tracer (disabled by default; every record call
     /// starts with one branch on the enabled flag).
     tracer: Tracer,
@@ -344,7 +229,7 @@ impl LtSystem {
     /// Builds a platform that is one *shard* of a multi-bus system, with
     /// the AHB-to-AHB bridge port attached: remote-window transactions
     /// complete against the bridge slave (no local DRAM access) and are
-    /// logged as [`BridgeCrossing`]s; an extra bridge master replays the
+    /// logged as [`amba::bridge::BridgeCrossing`]s; an extra bridge master replays the
     /// crossings delivered by [`LtSystem::inject_crossing`].
     ///
     /// # Panics
@@ -378,9 +263,14 @@ impl LtSystem {
             ));
             masters.len() - 1
         });
+        let mut recorder = Recorder::new(ModelKind::LooselyTimed);
         let lt_masters: Vec<LtMaster> = masters
             .into_iter()
-            .map(|(trace, label, qos, posted)| LtMaster::new(trace, &label, qos, posted))
+            .map(|(trace, label, qos, posted)| {
+                recorder.register_master(trace.master(), &label);
+                recorder.register_qos(trace.master(), qos);
+                LtMaster::new(trace, posted)
+            })
             .collect();
         let remote_ahead = port.as_ref().map_or_else(Vec::new, |p| {
             lt_masters
@@ -390,7 +280,7 @@ impl LtSystem {
                     if Some(index) == ingress_index {
                         Vec::new()
                     } else {
-                        crossing_transforms(m.items.items(), p)
+                        m.items.crossing_transforms(p)
                     }
                 })
                 .collect()
@@ -415,11 +305,7 @@ impl LtSystem {
             last_completion: 0,
             masters_done,
             traces_valid,
-            transactions: 0,
-            total_bytes: 0,
-            data_beats: 0,
-            busy_cycles: 0,
-            contention_cycles: 0,
+            recorder,
             wb_absorbed: 0,
             wb_drained: 0,
             wb_peak: 0,
@@ -431,15 +317,7 @@ impl LtSystem {
             wall_seconds: 0.0,
             bridge: port
                 .zip(ingress_index)
-                .map(|(port, ingress_index)| LtBridge {
-                    port,
-                    ingress_index,
-                    egress: Vec::new(),
-                    replayed: ReplayStats::default(),
-                    parked: Vec::new(),
-                    owed_responses: Vec::new(),
-                    remote_ahead,
-                }),
+                .map(|(port, ingress)| BridgeEndpoint::new(port, ingress, remote_ahead)),
             tracer: Tracer::disabled(),
         }
     }
@@ -482,41 +360,20 @@ impl LtSystem {
     }
 
     /// Takes the buffered trace events, with the DDR and write-backlog
-    /// registry counters filled in from the accumulators.
+    /// registry counters read from the probe.
     pub fn take_trace_log(&mut self) -> TraceLog {
-        let mut log = self.tracer.take();
-        log.counters.dram_row_hits = self.dram_row_hits + self.dram_prepared_hits;
-        log.counters.dram_accesses =
-            self.dram_row_hits + self.dram_prepared_hits + self.dram_misses + self.dram_conflicts;
-        log.counters.write_buffer_peak = self.wb_peak as u64;
-        log
+        self.tracer.take().with_probe_counters(&self.probe())
     }
 
-    /// Takes the crossings issued through the bridge slave since the last
-    /// drain (in local completion order).
-    pub fn drain_egress(&mut self) -> Vec<BridgeCrossing> {
-        self.bridge
-            .as_mut()
-            .map_or_else(Vec::new, |b| std::mem::take(&mut b.egress))
-    }
-
-    /// [`LtSystem::drain_egress`] without the allocation churn: clears
-    /// `out` and swaps it with the egress log, so a scheduler draining
-    /// every quantum recycles the same two buffers instead of allocating
-    /// per crossing batch.
-    pub fn drain_egress_into(&mut self, out: &mut Vec<BridgeCrossing>) {
-        out.clear();
-        if let Some(bridge) = self.bridge.as_mut() {
-            std::mem::swap(&mut bridge.egress, out);
-        }
-    }
-
-    /// Work the bridge master replayed on behalf of remote shards so far.
+    /// The bridge endpoint, on a shard of a multi-bus platform.
     #[must_use]
-    pub fn replayed(&self) -> ReplayStats {
-        self.bridge
-            .as_ref()
-            .map_or_else(ReplayStats::default, |b| b.replayed)
+    pub fn bridge(&self) -> Option<&BridgeEndpoint> {
+        self.bridge.as_ref()
+    }
+
+    /// The bridge endpoint, mutably (the platform drains its egress log).
+    pub fn bridge_mut(&mut self) -> Option<&mut BridgeEndpoint> {
+        self.bridge.as_mut()
     }
 
     /// Conservative lower bound on the earliest cycle this shard could
@@ -529,29 +386,21 @@ impl LtSystem {
     #[must_use]
     pub fn next_possible_crossing(&self) -> Option<Cycle> {
         let bridge = self.bridge.as_ref()?;
-        if !bridge.egress.is_empty() || !bridge.owed_responses.is_empty() {
-            return Some(Cycle::new(self.now));
-        }
+        let now = Cycle::new(self.now);
         if self
             .backlog
             .iter()
-            .any(|entry| bridge.port.map.is_remote(entry.txn.addr, bridge.port.own))
+            .any(|entry| bridge.port().is_remote(entry.txn.addr))
         {
-            return Some(Cycle::new(self.now));
+            return Some(now);
         }
-        let mut bound = u64::MAX;
-        for (index, master) in self.masters.iter().enumerate() {
-            if index == bridge.ingress_index || master.is_done() {
-                continue;
-            }
-            if let Some((a, b)) = bridge.remote_ahead[index][master.next] {
-                // A parked master carries `ready_at == u64::MAX`; the
-                // saturating add keeps it out of the minimum (its in-flight
-                // response leg vetoes through the shards that carry it).
-                bound = bound.min(master.ready_at.saturating_add(a).max(b));
-            }
-        }
-        (bound != u64::MAX).then(|| Cycle::new(bound))
+        // A parked master carries `ready_at == u64::MAX`, which the
+        // endpoint's saturating add keeps out of the minimum (its in-flight
+        // response leg vetoes through the shards that carry it).
+        bridge.next_possible_crossing(now, |index| {
+            let master = &self.masters[index];
+            (!master.is_done()).then_some((master.ready_at, master.next))
+        })
     }
 
     /// Delivers one bridge crossing: the transaction is queued on the
@@ -566,18 +415,16 @@ impl LtSystem {
     pub fn inject_crossing(
         &mut self,
         source: Transaction,
-        release_at: u64,
+        release_at: Cycle,
         respond_to: Option<u8>,
     ) {
         let bridge = self
             .bridge
             .as_mut()
             .expect("inject_crossing without a bridge port");
-        let index = bridge.ingress_index;
-        let txn = bridge.port.replay_txn(source);
-        if let Some(origin) = respond_to {
-            bridge.owed_responses.push((txn.id, origin, source));
-        }
+        let index = bridge.ingress();
+        let txn = bridge.accept_crossing(source, respond_to);
+        let release_at = release_at.value();
         let master = &mut self.masters[index];
         let was_done = master.is_done();
         master.insert_pending(txn, release_at);
@@ -605,23 +452,20 @@ impl LtSystem {
     ///
     /// Panics when the system was built without a bridge port or no
     /// master is stalled on `id` (a platform routing bug).
-    pub fn inject_response(&mut self, id: TransactionId, arrival: u64) {
-        let bridge = self
+    pub fn inject_response(&mut self, id: TransactionId, arrival: Cycle) {
+        let parked = self
             .bridge
             .as_mut()
-            .expect("inject_response without a bridge port");
-        let position = bridge
-            .parked
-            .iter()
-            .position(|(parked_id, _)| *parked_id == id)
-            .expect("response for a transaction nobody is stalled on");
-        let (_, parked) = bridge.parked.swap_remove(position);
-        let (bytes, beats) = (parked.txn.bytes(), parked.txn.beats());
+            .expect("inject_response without a bridge port")
+            .retire(id);
+        let (requested_at, granted_at) = (parked.requested_at.value(), parked.granted_at.value());
+        let arrival = arrival.value();
+        let bytes = parked.txn.bytes();
         self.tracer.bridge(
             TraceEventKind::BridgeResponse,
             parked.txn.master.index() as u16,
             id.value(),
-            parked.requested_at,
+            requested_at,
             arrival,
             0,
         );
@@ -630,8 +474,8 @@ impl LtSystem {
         self.tracer.span(
             parked.txn.master.index() as u16,
             id.value(),
-            parked.requested_at,
-            parked.granted_at,
+            requested_at,
+            granted_at,
             arrival,
             bytes,
             FLAG_REMOTE,
@@ -639,14 +483,13 @@ impl LtSystem {
         // The transfer completes now: count the work (the request leg only
         // contributed bus occupancy; the data return travels inside the
         // crossing cost, not over the local bus).
-        self.transactions += 1;
-        self.total_bytes += u64::from(bytes);
-        self.data_beats += u64::from(beats);
-        self.last_completion = self.last_completion.max(arrival);
-        let latency = arrival - parked.requested_at;
-        let grant_latency = parked.granted_at - parked.requested_at;
-        let master = &mut self.masters[parked.index];
-        master.record(bytes, latency, grant_latency, arrival);
+        self.record_completion(
+            parked.position,
+            &parked.txn,
+            (requested_at, granted_at, arrival),
+            false,
+        );
+        let master = &mut self.masters[parked.position];
         master.advance(arrival);
         if master.is_done() {
             self.masters_done += 1;
@@ -661,9 +504,9 @@ impl LtSystem {
     /// it from an open or hint-prepared row (always `false` for remote).
     fn transfer_cost(&mut self, txn: &Transaction) -> (u64, bool, bool) {
         if let Some(bridge) = self.bridge.as_ref() {
-            if bridge.port.map.is_remote(txn.addr, bridge.port.own) {
+            if bridge.port().is_remote(txn.addr) {
                 return (
-                    bridge.port.slave_cycles + u64::from(txn.beats()),
+                    bridge.port().slave_cycles + u64::from(txn.beats()),
                     true,
                     false,
                 );
@@ -750,15 +593,26 @@ impl LtSystem {
         )
     }
 
-    /// Records the bus-level share of one completed burst.
-    fn record_bus(&mut self, bytes: u32, beats: u32, cost: u64, contended: bool, completed: u64) {
-        self.transactions += 1;
-        self.total_bytes += u64::from(bytes);
-        self.data_beats += u64::from(beats);
-        self.busy_cycles += cost;
-        if contended {
-            self.contention_cycles += cost;
-        }
+    /// Records one completed transaction of the master at `index`; the
+    /// `(requested, granted, completed)` cycles give its latencies.
+    fn record_completion(
+        &mut self,
+        index: usize,
+        txn: &Transaction,
+        (requested, granted, completed): (u64, u64, u64),
+        via_write_buffer: bool,
+    ) {
+        let completion = Completion {
+            id: txn.id,
+            master: self.masters[index].id,
+            response: HResp::Okay,
+            granted_at: Cycle::new(granted),
+            completed_at: Cycle::new(completed),
+            issued_at: Cycle::new(requested),
+            bytes: txn.bytes(),
+            via_write_buffer,
+        };
+        self.recorder.record_completion(&completion, txn.beats());
         self.last_completion = self.last_completion.max(completed);
     }
 
@@ -775,14 +629,16 @@ impl LtSystem {
         let completed = start + cost;
         self.bus_free_at = completed;
         self.wb_drained += 1;
-        let (bytes, beats) = (entry.txn.bytes(), entry.txn.beats());
-        self.record_bus(bytes, beats, cost, false, completed);
+        self.recorder.add_busy_cycles(cost);
+        self.record_completion(
+            entry.master_index,
+            &entry.txn,
+            (entry.absorbed_at, start, completed),
+            true,
+        );
         if remote {
             self.push_egress(completed, entry.txn, CrossingLeg::Posted);
         }
-        let latency = completed - entry.absorbed_at;
-        let grant_latency = start - entry.absorbed_at;
-        self.masters[entry.master_index].record(bytes, latency, grant_latency, completed);
         self.tracer.drain(
             entry.txn.master.index() as u16,
             entry.txn.id.value(),
@@ -795,11 +651,7 @@ impl LtSystem {
     /// Logs one crossing leaving through the bridge at `completed`.
     fn push_egress(&mut self, completed: u64, txn: Transaction, leg: CrossingLeg) {
         let bridge = self.bridge.as_mut().expect("egress implies a bridge");
-        bridge.egress.push(BridgeCrossing {
-            issued_at: simkern::time::Cycle::new(completed),
-            txn,
-            leg,
-        });
+        bridge.push_egress(Cycle::new(completed), txn, leg);
         self.tracer.bridge(
             TraceEventKind::BridgeEgress,
             txn.master.index() as u16,
@@ -872,9 +724,6 @@ impl LtSystem {
             // counted so assertion outcomes stay results-identical.
             self.assertion_errors += 1;
         }
-        let beats = txn.beats();
-        let bytes = txn.bytes();
-
         let depth = self.config.params.write_buffer_depth;
         if depth > 0 && self.masters[index].posted && txn.posted_ok && txn.is_write() {
             // Materialize the drains whose bus slot starts before this
@@ -925,18 +774,18 @@ impl LtSystem {
         // occupies the local bus; the transfer is counted when
         // `inject_response` retires it.
         let stalling_read = self.bridge.as_ref().is_some_and(|b| {
-            !b.port.posted_reads && !txn.is_write() && b.port.map.is_remote(txn.addr, b.port.own)
+            !b.port().posted_reads && !txn.is_write() && b.port().is_remote(txn.addr)
         });
         if stalling_read {
             let (cost, own) = {
-                let bridge = self.bridge.as_ref().expect("stall implies a bridge");
-                (bridge.port.slave_cycles + 1, bridge.port.own)
+                let port = self.bridge.as_ref().expect("stall implies a bridge").port();
+                (port.slave_cycles + 1, port.own)
             };
             let completed_req = grant + cost;
             self.bus_free_at = completed_req;
-            self.busy_cycles += cost;
+            self.recorder.add_busy_cycles(cost);
             if contended {
-                self.contention_cycles += cost;
+                self.recorder.add_contention_cycles(cost);
             }
             self.push_egress(
                 completed_req,
@@ -944,15 +793,12 @@ impl LtSystem {
                 CrossingLeg::NonPostedRead { origin: own },
             );
             let bridge = self.bridge.as_mut().expect("stall implies a bridge");
-            bridge.parked.push((
-                txn.id,
-                LtParked {
-                    index,
-                    txn,
-                    requested_at: ready,
-                    granted_at: grant,
-                },
-            ));
+            bridge.park(Parked {
+                position: index,
+                txn,
+                requested_at: Cycle::new(ready),
+                granted_at: Cycle::new(grant),
+            });
             // Parked: invisible to the release scan until the response.
             self.masters[index].ready_at = u64::MAX;
             self.now = self.now.max(completed_req);
@@ -962,23 +808,16 @@ impl LtSystem {
         let (cost, remote, row_hit) = self.transfer_cost(&txn);
         let completed = grant + cost;
         self.bus_free_at = completed;
-        self.record_bus(bytes, beats, cost, contended, completed);
+        self.recorder.add_busy_cycles(cost);
+        if contended {
+            self.recorder.add_contention_cycles(cost);
+        }
+        self.record_completion(index, &txn, (ready, grant, completed), false);
         if remote {
             self.push_egress(completed, txn, CrossingLeg::Posted);
         } else if let Some(bridge) = self.bridge.as_mut() {
-            if bridge.ingress_index == index {
-                bridge.replayed.record(&txn);
-                if let Some(owed) = bridge
-                    .owed_responses
-                    .iter()
-                    .position(|(id, ..)| *id == txn.id)
-                {
-                    let (_, origin, original) = bridge.owed_responses.swap_remove(owed);
-                    bridge.egress.push(BridgeCrossing {
-                        issued_at: simkern::time::Cycle::new(completed),
-                        txn: original,
-                        leg: CrossingLeg::ReadResponse { origin },
-                    });
+            if bridge.ingress() == index {
+                if let Some(original) = bridge.replay_completed(&txn, Cycle::new(completed)) {
                     self.tracer.bridge(
                         TraceEventKind::BridgeEgress,
                         original.master.index() as u16,
@@ -990,9 +829,6 @@ impl LtSystem {
                 }
             }
         }
-        let latency = completed - ready;
-        let grant_latency = grant - ready;
-        self.masters[index].record(bytes, latency, grant_latency, completed);
         let flags = if txn.is_write() { FLAG_WRITE } else { 0 }
             | if remote { FLAG_REMOTE } else { 0 }
             | if row_hit { FLAG_ROW_HIT } else { 0 };
@@ -1002,7 +838,7 @@ impl LtSystem {
             ready,
             grant,
             completed,
-            bytes,
+            txn.bytes(),
             flags,
         );
         self.masters[index].advance(completed);
@@ -1036,10 +872,10 @@ impl LtSystem {
     pub fn probe(&self) -> Probe {
         Probe {
             cycle: self.last_completion.max(self.now),
-            transactions: self.transactions,
-            bytes: self.total_bytes,
-            data_beats: self.data_beats,
-            busy_cycles: self.busy_cycles,
+            transactions: self.recorder.completions(),
+            bytes: self.recorder.total_bytes(),
+            data_beats: self.recorder.data_beats(),
+            busy_cycles: self.recorder.busy_cycles(),
             write_buffer_fill: self.backlog.len() as u64,
             write_buffer_absorbed: self.wb_absorbed,
             write_buffer_drained: self.wb_drained,
@@ -1057,29 +893,11 @@ impl LtSystem {
         }
     }
 
-    /// The metric report as of the current time. Idempotent: every
-    /// counter is an accumulator published into a fresh report.
+    /// The metric report as of the current time. Idempotent: the bus-level
+    /// counters outside the recorder are read from the probe.
     #[must_use]
     pub fn report(&mut self) -> SimReport {
-        let masters = self.masters.iter().map(|m| (m.id, m.metrics())).collect();
-        let probe = self.probe();
-        SimReport {
-            model: ModelKind::LooselyTimed,
-            total_cycles: probe.cycle,
-            wall_seconds: self.wall_seconds,
-            masters,
-            bus: BusMetrics {
-                busy_cycles: self.busy_cycles,
-                contention_cycles: self.contention_cycles,
-                transactions: self.transactions,
-                data_beats: self.data_beats,
-                write_buffer_hits: self.wb_drained,
-                write_buffer_peak: self.wb_peak as u64,
-                dram_row_hits: self.dram_row_hits + self.dram_prepared_hits,
-                dram_accesses: probe.dram_accesses,
-                assertion_errors: self.assertion_errors,
-            },
-        }
+        self.recorder.finish(&self.probe(), self.wall_seconds)
     }
 
     /// Runs the platform until every trace has drained (or the cycle

@@ -39,7 +39,7 @@ use std::time::Instant;
 
 use ahb_lt::{LtConfig, LtSystem};
 use ahb_tlm::{TlmConfig, TlmSystem};
-use amba::bridge::{BridgePort, CrossingLeg, ReplayStats, ShardMap, WindowMap};
+use amba::bridge::{BridgeEndpoint, BridgePort, CrossingLeg, ReplayStats, ShardMap, WindowMap};
 use amba::ids::MasterId;
 use amba::txn::{Transaction, TransactionId};
 use analysis::model::{BusModel, Probe, SyncStats};
@@ -80,98 +80,71 @@ enum ShardEngine {
     Lt(LtSystem),
 }
 
+/// Evaluates `$body` with `$shard` bound to the engine's backend system,
+/// whichever backend it is: the two shard systems share every method the
+/// platform calls, by name and signature.
+macro_rules! on_backend {
+    ($engine:expr, $shard:ident => $body:expr) => {
+        match $engine {
+            ShardEngine::Tlm($shard) => $body,
+            ShardEngine::Lt($shard) => $body,
+        }
+    };
+}
+
 impl ShardEngine {
     fn run_until(&mut self, target: u64) {
-        match self {
-            ShardEngine::Tlm(s) => {
-                s.run_until(Cycle::new(target));
-            }
-            ShardEngine::Lt(s) => {
-                s.run_until(Cycle::new(target));
-            }
-        }
+        on_backend!(self, s => {
+            s.run_until(Cycle::new(target));
+        });
     }
 
     fn finished(&self) -> bool {
-        match self {
-            ShardEngine::Tlm(s) => BusModel::finished(s),
-            ShardEngine::Lt(s) => BusModel::finished(s),
-        }
+        on_backend!(self, s => BusModel::finished(s))
     }
 
-    /// Drains the egress log into `out` (cleared first), recycling the
-    /// buffer's capacity across quanta instead of allocating per batch.
-    fn drain_egress_into(&mut self, out: &mut Vec<amba::bridge::BridgeCrossing>) {
-        match self {
-            ShardEngine::Tlm(s) => s.drain_egress_into(out),
-            ShardEngine::Lt(s) => s.drain_egress_into(out),
-        }
+    /// The shard's bridge endpoint (every shard is built with one).
+    fn bridge(&self) -> &BridgeEndpoint {
+        on_backend!(self, s => s.bridge()).expect("shards carry a bridge port")
+    }
+
+    fn bridge_mut(&mut self) -> &mut BridgeEndpoint {
+        on_backend!(self, s => s.bridge_mut()).expect("shards carry a bridge port")
     }
 
     fn inject_crossing(&mut self, txn: Transaction, release_at: u64, respond_to: Option<u8>) {
-        match self {
-            ShardEngine::Tlm(s) => s.inject_crossing(txn, Cycle::new(release_at), respond_to),
-            ShardEngine::Lt(s) => s.inject_crossing(txn, release_at, respond_to),
-        }
+        on_backend!(self, s => s.inject_crossing(txn, Cycle::new(release_at), respond_to));
     }
 
     fn inject_response(&mut self, id: TransactionId, arrival: u64) {
-        match self {
-            ShardEngine::Tlm(s) => s.inject_response(id, Cycle::new(arrival)),
-            ShardEngine::Lt(s) => s.inject_response(id, arrival),
-        }
-    }
-
-    fn replayed(&self) -> ReplayStats {
-        match self {
-            ShardEngine::Tlm(s) => s.replayed(),
-            ShardEngine::Lt(s) => s.replayed(),
-        }
+        on_backend!(self, s => s.inject_response(id, Cycle::new(arrival)));
     }
 
     /// The shard's lookahead bound as a plain cycle number: the earliest
     /// cycle it could issue another crossing, `u64::MAX` when it never
     /// can from its current state.
     fn next_possible_crossing(&self) -> u64 {
-        match self {
-            ShardEngine::Tlm(s) => s.next_possible_crossing().map_or(u64::MAX, |c| c.value()),
-            ShardEngine::Lt(s) => s.next_possible_crossing().map_or(u64::MAX, |c| c.value()),
-        }
+        on_backend!(self, s => s.next_possible_crossing()).map_or(u64::MAX, |c| c.value())
     }
 
     fn probe(&self) -> Probe {
-        match self {
-            ShardEngine::Tlm(s) => s.probe(),
-            ShardEngine::Lt(s) => s.probe(),
-        }
+        on_backend!(self, s => s.probe())
     }
 
     fn report(&mut self) -> SimReport {
-        match self {
-            ShardEngine::Tlm(s) => s.report(),
-            ShardEngine::Lt(s) => s.report(),
-        }
+        on_backend!(self, s => s.report())
     }
 
     fn set_tracing(&mut self, enabled: bool) {
-        match self {
-            ShardEngine::Tlm(s) => s.set_tracing(enabled),
-            ShardEngine::Lt(s) => s.set_tracing(enabled),
-        }
+        on_backend!(self, s => s.set_tracing(enabled));
     }
 
     fn set_trace_shard(&mut self, shard: u16) {
-        match self {
-            ShardEngine::Tlm(s) => s.set_trace_shard(shard),
-            ShardEngine::Lt(s) => s.set_trace_shard(shard),
-        }
+        on_backend!(self, s => s.set_trace_shard(shard));
     }
 
     fn take_trace_log(&mut self) -> TraceLog {
-        match self {
-            ShardEngine::Tlm(s) => s.take_trace_log(),
-            ShardEngine::Lt(s) => s.take_trace_log(),
-        }
+        on_backend!(self, s => s.take_trace_log())
     }
 }
 
@@ -632,7 +605,9 @@ impl MultiSystem {
             let mut bound = u64::MAX;
             for (index, shard) in self.shards.iter_mut().enumerate() {
                 shard.run_until(next);
-                shard.drain_egress_into(&mut self.buffers.outbox[index]);
+                shard
+                    .bridge_mut()
+                    .drain_egress_into(&mut self.buffers.outbox[index]);
                 self.buffers.finished[index] = shard.finished();
                 if self.lookahead {
                     bound = bound.min(shard.next_possible_crossing());
@@ -727,7 +702,7 @@ impl MultiSystem {
                     let mut batch = Vec::new();
                     loop {
                         shard.run_until(next);
-                        shard.drain_egress_into(&mut egress);
+                        shard.bridge_mut().drain_egress_into(&mut egress);
                         let finished = shard.finished();
                         let bound = if lookahead {
                             shard.next_possible_crossing()
@@ -832,7 +807,7 @@ impl MultiSystem {
             aggregate.dram_accesses += probe.dram_accesses;
             aggregate.assertion_errors += probe.assertion_errors;
             aggregate.assertion_warnings += probe.assertion_warnings;
-            let replayed = shard.replayed();
+            let replayed = shard.bridge().replayed();
             replays.transactions += replayed.transactions;
             replays.bytes += replayed.bytes;
             replays.data_beats += replayed.data_beats;
@@ -862,7 +837,7 @@ impl MultiSystem {
         let mut total_cycles = 0u64;
         let mut replays = ReplayStats::default();
         for index in 0..self.shards.len() {
-            let replayed = self.shards[index].replayed();
+            let replayed = self.shards[index].bridge().replayed();
             replays.transactions += replayed.transactions;
             replays.data_beats += replayed.data_beats;
             let report = self.shards[index].report();

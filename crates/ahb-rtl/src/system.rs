@@ -266,22 +266,12 @@ impl RtlSystem {
         self.now
     }
 
-    /// The metric report as of the current time. Idempotent: external
-    /// totals are published, not accumulated, so mid-run snapshots are
-    /// safe.
+    /// The metric report as of the current time. Idempotent: the bus-level
+    /// counters outside the recorder are read from the probe, not
+    /// accumulated, so mid-run snapshots are safe.
     #[must_use]
     pub fn report(&mut self) -> SimReport {
-        let total_cycles = self.now.value();
-        let dram = self.slave.controller().stats();
-        self.recorder.set_dram_stats(
-            dram.row_hits.value() + dram.prepared_hits.value(),
-            dram.accesses(),
-        );
-        self.recorder
-            .observe_write_buffer_fill(self.write_buffer.peak_fill());
-        self.recorder
-            .set_assertion_errors(self.assertions.error_count() as u64);
-        self.recorder.finish(total_cycles, self.wall_seconds)
+        self.recorder.finish(&self.probe(), self.wall_seconds)
     }
 
     /// Snapshot of the observable state at the current time (the uniform
@@ -369,8 +359,6 @@ impl RtlSystem {
                 self.pins[index].drive_idle();
             }
         }
-        self.recorder
-            .observe_write_buffer_fill(self.write_buffer.fill());
     }
 
     fn phase_arbiter(&mut self, now: Cycle) {
@@ -609,15 +597,10 @@ impl RtlSystem {
         self.tracer.set_shard(shard);
     }
 
-    /// Drains the accumulated trace log, filling the counter registry from
-    /// the DDR controller and write-buffer accumulators.
+    /// Drains the accumulated trace log, with the DDR and write-buffer
+    /// registry counters read from the probe.
     pub fn take_trace_log(&mut self) -> TraceLog {
-        let mut log = self.tracer.take();
-        let dram = self.slave.controller().stats();
-        log.counters.dram_row_hits = dram.row_hits.value() + dram.prepared_hits.value();
-        log.counters.dram_accesses = dram.accesses();
-        log.counters.write_buffer_peak = self.write_buffer.peak_fill() as u64;
-        log
+        self.tracer.take().with_probe_counters(&self.probe())
     }
 }
 

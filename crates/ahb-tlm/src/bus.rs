@@ -21,7 +21,7 @@
 
 use std::time::Instant;
 
-use amba::bridge::{BridgeCrossing, BridgePort, CrossingLeg, ReplayStats};
+use amba::bridge::{BridgeEndpoint, BridgePort, CrossingLeg, Parked};
 use amba::check::validate_transaction;
 use amba::ids::MasterId;
 use amba::qos::QosConfig;
@@ -34,7 +34,7 @@ use analysis::trace::{TraceEventKind, TraceLog, Tracer, FLAG_REMOTE, FLAG_ROW_HI
 use ddrc::{AccessClass, DdrController};
 use simkern::assertion::{AssertionKind, AssertionSink, Severity};
 use simkern::time::{Cycle, CycleDelta};
-use traffic::{Release, TraceItem, TrafficPattern, TrafficTrace};
+use traffic::{TrafficPattern, TrafficTrace};
 
 use crate::arbiter::{PendingRequest, TlmArbiter};
 use crate::config::TlmConfig;
@@ -51,75 +51,6 @@ const GRANT_TO_ADDRESS_CYCLES: u64 = 1;
 /// pipelining is disabled: the bus returns to idle for one cycle before the
 /// arbiter re-evaluates and the new owner drives its address.
 const NON_PIPELINED_TURNAROUND: u64 = 1;
-
-/// One read transfer stalled on its bridge response: the issuing master
-/// is parked (out of the ready set, trace not advanced) until the
-/// [`CrossingLeg::ReadResponse`] carrying the same transaction id arrives
-/// and retires it.
-struct ParkedRead {
-    /// Position of the stalled master in `masters`.
-    position: usize,
-    /// The stalled transaction (completion metrics need bytes/beats).
-    txn: Transaction,
-    /// Cycle the request was raised (latency accounting).
-    requested_at: Cycle,
-    /// Cycle the request leg's address phase ran (grant accounting).
-    granted_at: Cycle,
-}
-
-/// Bridge-port state of a shard inside a multi-bus platform: the window
-/// decode and slave timing ([`BridgePort`]), the outgoing-crossing log the
-/// platform drains every quantum, and the replay bookkeeping of the
-/// ingress (bridge master) port.
-struct TlmBridge {
-    port: BridgePort,
-    /// Position of the bridge replay master in `masters`.
-    ingress_position: usize,
-    /// Crossings issued since the last [`TlmSystem::drain_egress`].
-    egress: Vec<BridgeCrossing>,
-    /// Work replayed on behalf of remote shards so far.
-    replayed: ReplayStats,
-    /// Local masters stalled on a non-posted read crossing, keyed by the
-    /// original transaction id the response leg carries back.
-    parked: Vec<(TransactionId, ParkedRead)>,
-    /// Replays that owe a response: replay id → (origin shard, original
-    /// transaction). Filled at injection, resolved when the replay
-    /// completes on this shard's bus.
-    owed_responses: Vec<(TransactionId, u8, Transaction)>,
-    /// Per-master release transforms for the lookahead scan, indexed by
-    /// master position, then trace position: `Some((a, b))` means the
-    /// earliest cycle a crossing can issue from that point on — given the
-    /// head item releases no earlier than `t` — is `max(t + a, b)`;
-    /// `None` means no remote item remains on the trace. The ingress
-    /// (replay) master's trace is dynamic and gets an empty table; its
-    /// traffic is covered by the egress/owed-response checks instead.
-    remote_ahead: Vec<Vec<Option<(u64, u64)>>>,
-}
-
-/// Builds the backward min-plus transform table over one static trace: a
-/// release rule is the affine-max function `f(t) = max(t + a, b)`
-/// (`AfterPrevious(gap)` → `(gap, 0)`, `At(at)` → `(0, at)`), and
-/// composing the rules from a trace position up to its next
-/// remote-addressed item yields the per-position transform the runtime
-/// scan evaluates in O(1). Entry `len` is the past-the-end sentinel.
-fn crossing_transforms(items: &[TraceItem], port: &BridgePort) -> Vec<Option<(u64, u64)>> {
-    let step = |release: Release| match release {
-        Release::AfterPrevious(gap) => (gap.value(), 0),
-        Release::At(at) => (0, at.value()),
-    };
-    let mut ahead: Vec<Option<(u64, u64)>> = vec![None; items.len() + 1];
-    for p in (0..items.len()).rev() {
-        ahead[p] = if port.map.is_remote(items[p].txn.addr, port.own) {
-            Some((0, 0))
-        } else {
-            ahead[p + 1].map(|(a2, b2)| {
-                let (a1, b1) = step(items[p + 1].release);
-                (a1.saturating_add(a2), b1.saturating_add(a2).max(b2))
-            })
-        };
-    }
-    ahead
-}
 
 /// The transaction-level AHB+ platform.
 pub struct TlmSystem {
@@ -181,10 +112,10 @@ pub struct TlmSystem {
     /// across bounded steps so a step-driven run reports the same speed
     /// accounting as a one-shot run).
     wall_seconds: f64,
-    /// Bridge-port state when this system is one shard of a multi-bus
+    /// Bridge endpoint when this system is one shard of a multi-bus
     /// platform; `None` on a standalone single-bus platform (no behaviour
     /// change whatsoever).
-    bridge: Option<TlmBridge>,
+    bridge: Option<BridgeEndpoint>,
     /// Structured event tracer (disabled by default; every record call
     /// starts with one branch on the enabled flag).
     tracer: Tracer,
@@ -213,7 +144,7 @@ impl TlmSystem {
     /// of the trace masters it carries the AHB-to-AHB bridge port —
     /// transactions to remote shard windows complete against the bridge
     /// slave (posted into the request FIFO, no local DRAM access) and are
-    /// logged as [`BridgeCrossing`]s, and an extra bridge *master* replays
+    /// logged as [`amba::bridge::BridgeCrossing`]s, and an extra bridge *master* replays
     /// the crossings delivered by [`TlmSystem::inject_crossing`].
     ///
     /// # Panics
@@ -265,7 +196,7 @@ impl TlmSystem {
                 remote_ahead.push(if Some(position) == ingress_position {
                     Vec::new()
                 } else {
-                    crossing_transforms(trace.items(), p)
+                    trace.crossing_transforms(p)
                 });
             }
             let master = TraceMaster::new(trace, &label, qos, posted);
@@ -328,15 +259,7 @@ impl TlmSystem {
             wall_seconds: 0.0,
             bridge: port
                 .zip(ingress_position)
-                .map(|(port, ingress_position)| TlmBridge {
-                    port,
-                    ingress_position,
-                    egress: Vec::new(),
-                    replayed: ReplayStats::default(),
-                    parked: Vec::new(),
-                    owed_responses: Vec::new(),
-                    remote_ahead,
-                }),
+                .map(|(port, ingress)| BridgeEndpoint::new(port, ingress, remote_ahead)),
             tracer: Tracer::disabled(),
         }
     }
@@ -397,42 +320,20 @@ impl TlmSystem {
     }
 
     /// Takes the buffered trace events, with the DDR and write-buffer
-    /// registry counters filled in from the recorder-side statistics.
+    /// registry counters read from the probe.
     pub fn take_trace_log(&mut self) -> TraceLog {
-        let mut log = self.tracer.take();
-        let dram = self.ddr.stats();
-        log.counters.dram_row_hits = dram.row_hits.value() + dram.prepared_hits.value();
-        log.counters.dram_accesses = dram.accesses();
-        log.counters.write_buffer_peak = self.write_buffer.peak_fill() as u64;
-        log
+        self.tracer.take().with_probe_counters(&self.probe())
     }
 
-    /// Takes the crossings issued through the bridge slave since the last
-    /// drain (in local completion order). Empty — and allocation-free — on
-    /// a standalone platform or a quantum without remote traffic.
-    pub fn drain_egress(&mut self) -> Vec<BridgeCrossing> {
-        self.bridge
-            .as_mut()
-            .map_or_else(Vec::new, |b| std::mem::take(&mut b.egress))
-    }
-
-    /// [`TlmSystem::drain_egress`] without the allocation churn: clears
-    /// `out` and swaps it with the egress log, so a scheduler draining
-    /// every quantum recycles the same two buffers instead of allocating
-    /// per crossing batch.
-    pub fn drain_egress_into(&mut self, out: &mut Vec<BridgeCrossing>) {
-        out.clear();
-        if let Some(bridge) = self.bridge.as_mut() {
-            std::mem::swap(&mut bridge.egress, out);
-        }
-    }
-
-    /// Work the bridge master replayed on behalf of remote shards so far.
+    /// The bridge endpoint, on a shard of a multi-bus platform.
     #[must_use]
-    pub fn replayed(&self) -> ReplayStats {
-        self.bridge
-            .as_ref()
-            .map_or_else(ReplayStats::default, |b| b.replayed)
+    pub fn bridge(&self) -> Option<&BridgeEndpoint> {
+        self.bridge.as_ref()
+    }
+
+    /// The bridge endpoint, mutably (the platform drains its egress log).
+    pub fn bridge_mut(&mut self) -> Option<&mut BridgeEndpoint> {
+        self.bridge.as_mut()
     }
 
     /// Conservative lower bound on the earliest cycle this shard could
@@ -447,28 +348,19 @@ impl TlmSystem {
     #[must_use]
     pub fn next_possible_crossing(&self) -> Option<Cycle> {
         let bridge = self.bridge.as_ref()?;
-        if !bridge.egress.is_empty() || !bridge.owed_responses.is_empty() {
+        if self
+            .write_buffer
+            .iter()
+            .any(|entry| bridge.port().is_remote(self.arena.get(entry.handle).addr))
+        {
             return Some(self.now);
         }
-        if self.write_buffer.iter().any(|entry| {
-            let addr = self.arena.get(entry.handle).addr;
-            bridge.port.map.is_remote(addr, bridge.port.own)
-        }) {
-            return Some(self.now);
-        }
-        let mut bound = u64::MAX;
-        for (position, master) in self.masters.iter().enumerate() {
-            if position == bridge.ingress_position {
-                continue;
-            }
-            let Some(ready) = master.ready_at() else {
-                continue;
-            };
-            if let Some((a, b)) = bridge.remote_ahead[position][master.trace_position()] {
-                bound = bound.min(ready.value().saturating_add(a).max(b));
-            }
-        }
-        (bound != u64::MAX).then(|| Cycle::new(bound))
+        bridge.next_possible_crossing(self.now, |position| {
+            let master = &self.masters[position];
+            master
+                .ready_at()
+                .map(|ready| (ready.value(), master.trace_position()))
+        })
     }
 
     /// Delivers one bridge crossing: the transaction is queued on the
@@ -495,11 +387,8 @@ impl TlmSystem {
             .bridge
             .as_mut()
             .expect("inject_crossing without a bridge port");
-        let position = bridge.ingress_position;
-        let txn = bridge.port.replay_txn(source);
-        if let Some(origin) = respond_to {
-            bridge.owed_responses.push((txn.id, origin, source));
-        }
+        let position = bridge.ingress();
+        let txn = bridge.accept_crossing(source, respond_to);
         let master = &mut self.masters[position];
         let was_done = master.is_done();
         let new_head = master.insert_pending(txn, release_at);
@@ -550,16 +439,11 @@ impl TlmSystem {
     /// Panics when the system was built without a bridge port or no
     /// master is stalled on `id` (a platform routing bug).
     pub fn inject_response(&mut self, id: TransactionId, arrival: Cycle) {
-        let bridge = self
+        let parked = self
             .bridge
             .as_mut()
-            .expect("inject_response without a bridge port");
-        let index = bridge
-            .parked
-            .iter()
-            .position(|(parked_id, _)| *parked_id == id)
-            .expect("response for a transaction nobody is stalled on");
-        let (_, parked) = bridge.parked.swap_remove(index);
+            .expect("inject_response without a bridge port")
+            .retire(id);
         self.tracer.bridge(
             TraceEventKind::BridgeResponse,
             parked.txn.master.index() as u16,
@@ -627,23 +511,13 @@ impl TlmSystem {
         self.now
     }
 
-    /// The metric report as of the current time. Idempotent: external
-    /// totals (DRAM stats, assertion counts) are *published* into the
-    /// recorder, not accumulated, so mid-run snapshots and the final
-    /// report can both be taken.
+    /// The metric report as of the current time. Idempotent: the bus-level
+    /// counters outside the recorder are read from the probe, not
+    /// accumulated, so mid-run snapshots and the final report can both be
+    /// taken.
     #[must_use]
     pub fn report(&mut self) -> SimReport {
-        let total_cycles = self.last_completion.max(self.now).value();
-        let dram = self.ddr.stats();
-        self.recorder.set_dram_stats(
-            dram.row_hits.value() + dram.prepared_hits.value(),
-            dram.accesses(),
-        );
-        self.recorder
-            .observe_write_buffer_fill(self.write_buffer.peak_fill());
-        self.recorder
-            .set_assertion_errors(self.assertions.error_count() as u64);
-        self.recorder.finish(total_cycles, self.wall_seconds)
+        self.recorder.finish(&self.probe(), self.wall_seconds)
     }
 
     /// Snapshot of the observable state at the current time (the uniform
@@ -801,8 +675,8 @@ impl TlmSystem {
         // cycles after the address phase (wait states plus one cycle per
         // beat), matching the pin-accurate sequencer.
         let (remote, stalling_read) = match self.bridge.as_ref() {
-            Some(b) if b.port.map.is_remote(txn.addr, b.port.own) => {
-                (true, !b.port.posted_reads && !txn.is_write())
+            Some(b) if b.port().is_remote(txn.addr) => {
+                (true, !b.port().posted_reads && !txn.is_write())
             }
             _ => (false, false),
         };
@@ -813,10 +687,10 @@ impl TlmSystem {
         let mut row_hit = false;
         let completed_at = if stalling_read {
             let bridge = self.bridge.as_ref().expect("remote implies a bridge");
-            addr_phase + CycleDelta::new(bridge.port.slave_cycles + 1)
+            addr_phase + CycleDelta::new(bridge.port().slave_cycles + 1)
         } else if remote {
             let bridge = self.bridge.as_ref().expect("remote implies a bridge");
-            addr_phase + CycleDelta::new(bridge.port.slave_cycles + u64::from(txn.beats()))
+            addr_phase + CycleDelta::new(bridge.port().slave_cycles + u64::from(txn.beats()))
         } else {
             let timing = self.ddr.access(
                 addr_phase + CycleDelta::ONE,
@@ -848,8 +722,6 @@ impl TlmSystem {
             if others_waiting {
                 self.recorder.add_contention_cycles(bus_occupied.value());
             }
-            self.recorder
-                .observe_write_buffer_fill(self.write_buffer.fill());
             // A stalled read is not complete yet: its metrics are recorded
             // by `inject_response` with the full round-trip latency.
             if !stalling_read {
@@ -904,16 +776,12 @@ impl TlmSystem {
             if remote {
                 let leg = if stalling_read {
                     CrossingLeg::NonPostedRead {
-                        origin: bridge.port.own,
+                        origin: bridge.port().own,
                     }
                 } else {
                     CrossingLeg::Posted
                 };
-                bridge.egress.push(BridgeCrossing {
-                    issued_at: completed_at,
-                    txn,
-                    leg,
-                });
+                bridge.push_egress(completed_at, txn, leg);
                 self.tracer.bridge(
                     TraceEventKind::BridgeEgress,
                     txn.master.index() as u16,
@@ -922,19 +790,8 @@ impl TlmSystem {
                     completed_at.value(),
                     if txn.is_write() { FLAG_WRITE } else { 0 },
                 );
-            } else if winner == bridge.port.master {
-                bridge.replayed.record(&txn);
-                if let Some(index) = bridge
-                    .owed_responses
-                    .iter()
-                    .position(|(id, ..)| *id == txn.id)
-                {
-                    let (_, origin, original) = bridge.owed_responses.swap_remove(index);
-                    bridge.egress.push(BridgeCrossing {
-                        issued_at: completed_at,
-                        txn: original,
-                        leg: CrossingLeg::ReadResponse { origin },
-                    });
+            } else if winner == bridge.port().master {
+                if let Some(original) = bridge.replay_completed(&txn, completed_at) {
                     self.tracer.bridge(
                         TraceEventKind::BridgeEgress,
                         original.master.index() as u16,
@@ -968,15 +825,12 @@ impl TlmSystem {
             self.masters[position].park_current();
             self.ready.clear(position);
             let bridge = self.bridge.as_mut().expect("stall implies a bridge");
-            bridge.parked.push((
-                txn.id,
-                ParkedRead {
-                    position,
-                    txn,
-                    requested_at,
-                    granted_at: addr_phase,
-                },
-            ));
+            bridge.park(Parked {
+                position,
+                txn,
+                requested_at,
+                granted_at: addr_phase,
+            });
         } else {
             self.arena.release(handle);
             let position = self.index_by_id[winner.index()];
@@ -1026,7 +880,7 @@ impl TlmSystem {
                         let hint_remote = self
                             .bridge
                             .as_ref()
-                            .is_some_and(|b| b.port.map.is_remote(info.addr, b.port.own));
+                            .is_some_and(|b| b.port().is_remote(info.addr));
                         if !hint_remote {
                             self.ddr.prepare(addr_phase + CycleDelta::ONE, info.addr);
                         }
@@ -1151,10 +1005,6 @@ impl TlmSystem {
             if buffer_filled || !rereleased {
                 break;
             }
-        }
-        if self.config.profiling {
-            self.recorder
-                .observe_write_buffer_fill(self.write_buffer.fill());
         }
     }
 }

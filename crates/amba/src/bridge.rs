@@ -13,6 +13,33 @@
 //! master replayed on behalf of remote shards, so platform-level
 //! aggregation can count every transaction exactly once.
 //!
+//! # The bridge endpoint
+//!
+//! [`BridgeEndpoint`] is the whole bridge-side state of one shard, owned
+//! once so every shard-capable backend embeds it instead of keeping its
+//! own copy:
+//!
+//! * the [`BridgePort`] (window decode, slave timing, replay master id);
+//! * the position of the bridge replay (ingress) master in the backend's
+//!   master table;
+//! * the egress log of crossings issued since the scheduler last drained
+//!   it ([`BridgeEndpoint::drain_egress_into`]);
+//! * the [`ReplayStats`] of work replayed for remote shards;
+//! * the table of masters [`Parked`] on a non-posted read, retired by
+//!   transaction id when the response leg arrives;
+//! * the replays that still owe a [`CrossingLeg::ReadResponse`];
+//! * the per-master lookahead transform tables ([`CrossingTransform`]),
+//!   from which [`BridgeEndpoint::next_possible_crossing`] bounds the
+//!   earliest crossing the shard's masters could issue.
+//!
+//! A backend routes remote-window transfers to the bridge slave and calls
+//! the endpoint at four points: [`BridgeEndpoint::accept_crossing`] when
+//! a crossing is delivered, [`BridgeEndpoint::push_egress`] when a
+//! request leg leaves, [`BridgeEndpoint::park`] / [`BridgeEndpoint::retire`]
+//! around a stalled read, and [`BridgeEndpoint::replay_completed`] when
+//! the ingress master finishes a replay. Tracing and its own buffered
+//! state (the write buffer's remote entries) stay with the backend.
+//!
 //! # Posted and non-posted crossings
 //!
 //! Writes always cross *posted*: the local transfer completes into the
@@ -31,7 +58,7 @@
 use std::sync::Arc;
 
 use crate::ids::Addr;
-use crate::txn::Transaction;
+use crate::txn::{Transaction, TransactionId};
 use simkern::time::Cycle;
 
 /// The interleaved shard-window decode of a multi-bus platform.
@@ -225,6 +252,14 @@ pub struct BridgePort {
 }
 
 impl BridgePort {
+    /// Whether `addr` lies outside this shard's windows (a transfer to it
+    /// leaves through the bridge slave).
+    #[must_use]
+    #[inline]
+    pub fn is_remote(&self, addr: Addr) -> bool {
+        self.map.is_remote(addr, self.own)
+    }
+
     /// Turns a crossing's source transaction into the replay the bridge
     /// master issues on this shard: same address, direction, burst shape
     /// and size; the master id rewritten to the bridge port; posting
@@ -339,6 +374,183 @@ impl ReplayStats {
         self.transactions += 1;
         self.bytes += u64::from(txn.bytes());
         self.data_beats += u64::from(txn.beats());
+    }
+}
+
+/// One position of a master's lookahead transform table: `Some((a, b))`
+/// means the earliest cycle a crossing can issue from that trace position
+/// on, given the head item releases no earlier than `t`, is
+/// `max(t + a, b)`; `None` means no remote-addressed item remains.
+pub type CrossingTransform = Option<(u64, u64)>;
+
+/// One read transfer stalled on its bridge response: the issuing master
+/// is parked (trace not advanced) until the [`CrossingLeg::ReadResponse`]
+/// carrying the same transaction id arrives and retires it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Parked {
+    /// Position of the stalled master in the backend's master table.
+    pub position: usize,
+    /// The stalled transaction (retirement needs its bytes and beats).
+    pub txn: Transaction,
+    /// Cycle the request was raised (latency accounting).
+    pub requested_at: Cycle,
+    /// Cycle the request leg was granted the bus.
+    pub granted_at: Cycle,
+}
+
+/// The bridge-side state of one bus shard (see the module docs).
+#[derive(Debug, Clone)]
+pub struct BridgeEndpoint {
+    port: BridgePort,
+    /// Position of the bridge replay master in the backend's master table.
+    ingress: usize,
+    /// Crossings issued since the last [`BridgeEndpoint::drain_egress_into`].
+    egress: Vec<BridgeCrossing>,
+    replayed: ReplayStats,
+    /// Local masters stalled on a non-posted read crossing.
+    parked: Vec<Parked>,
+    /// Replays that owe a response: replay id → (origin shard, original
+    /// transaction). Filled at acceptance, resolved when the replay
+    /// completes on this shard's bus.
+    owed: Vec<(TransactionId, u8, Transaction)>,
+    /// Per-master transform tables, indexed by master position, then trace
+    /// position. The ingress master's trace is dynamic and gets an empty
+    /// table; its traffic is covered by the egress/owed-response checks.
+    remote_ahead: Vec<Vec<CrossingTransform>>,
+}
+
+impl BridgeEndpoint {
+    /// An endpoint for `port` whose replay master sits at position
+    /// `ingress`, with one lookahead transform table per master position.
+    #[must_use]
+    pub fn new(
+        port: BridgePort,
+        ingress: usize,
+        remote_ahead: Vec<Vec<CrossingTransform>>,
+    ) -> Self {
+        BridgeEndpoint {
+            port,
+            ingress,
+            egress: Vec::new(),
+            replayed: ReplayStats::default(),
+            parked: Vec::new(),
+            owed: Vec::new(),
+            remote_ahead,
+        }
+    }
+
+    /// The shard's bridge attachment.
+    #[must_use]
+    pub fn port(&self) -> &BridgePort {
+        &self.port
+    }
+
+    /// Position of the bridge replay master in the backend's master table.
+    #[must_use]
+    pub fn ingress(&self) -> usize {
+        self.ingress
+    }
+
+    /// Accepts one delivered crossing: returns the replay the ingress
+    /// master must issue ([`BridgePort::replay_txn`]) and, when
+    /// `respond_to` names an origin shard, records that the replay owes
+    /// that shard a response leg.
+    pub fn accept_crossing(&mut self, source: Transaction, respond_to: Option<u8>) -> Transaction {
+        let txn = self.port.replay_txn(source);
+        if let Some(origin) = respond_to {
+            self.owed.push((txn.id, origin, source));
+        }
+        txn
+    }
+
+    /// Logs one crossing leaving through the bridge at `issued_at`.
+    pub fn push_egress(&mut self, issued_at: Cycle, txn: Transaction, leg: CrossingLeg) {
+        self.egress.push(BridgeCrossing {
+            issued_at,
+            txn,
+            leg,
+        });
+    }
+
+    /// Parks a master on its non-posted read until [`BridgeEndpoint::retire`].
+    pub fn park(&mut self, parked: Parked) {
+        self.parked.push(parked);
+    }
+
+    /// Retires the read stalled on transaction `id` (its response leg
+    /// arrived).
+    ///
+    /// # Panics
+    ///
+    /// Panics when no master is stalled on `id` (a platform routing bug).
+    pub fn retire(&mut self, id: TransactionId) -> Parked {
+        let index = self
+            .parked
+            .iter()
+            .position(|parked| parked.txn.id == id)
+            .expect("response for a transaction nobody is stalled on");
+        self.parked.swap_remove(index)
+    }
+
+    /// Records a replay the ingress master completed at `completed_at`.
+    /// When the replay owed a response, the [`CrossingLeg::ReadResponse`]
+    /// carrying the original transaction joins the egress log and the
+    /// original is returned (so the backend can trace the leg).
+    pub fn replay_completed(
+        &mut self,
+        replay: &Transaction,
+        completed_at: Cycle,
+    ) -> Option<Transaction> {
+        self.replayed.record(replay);
+        let index = self.owed.iter().position(|(id, ..)| *id == replay.id)?;
+        let (_, origin, original) = self.owed.swap_remove(index);
+        self.push_egress(completed_at, original, CrossingLeg::ReadResponse { origin });
+        Some(original)
+    }
+
+    /// Clears `out` and swaps it with the egress log, so a scheduler
+    /// draining every quantum recycles the same two buffers instead of
+    /// allocating per crossing batch.
+    pub fn drain_egress_into(&mut self, out: &mut Vec<BridgeCrossing>) {
+        out.clear();
+        std::mem::swap(&mut self.egress, out);
+    }
+
+    /// Work the ingress master replayed on behalf of remote shards so far.
+    #[must_use]
+    pub fn replayed(&self) -> ReplayStats {
+        self.replayed
+    }
+
+    /// Conservative lower bound on the earliest cycle the shard could
+    /// issue another crossing, or `None` when none is possible. `now` is
+    /// returned while traffic is imminent (undrained egress or a replay
+    /// owing a response). Otherwise the bound is the minimum over the
+    /// masters' transform tables, where `head(position)` gives a master's
+    /// head release and trace position (`None` for a master that cannot
+    /// issue). A backend checks its own buffered remote traffic first.
+    #[must_use]
+    pub fn next_possible_crossing(
+        &self,
+        now: Cycle,
+        head: impl Fn(usize) -> Option<(u64, usize)>,
+    ) -> Option<Cycle> {
+        if !self.egress.is_empty() || !self.owed.is_empty() {
+            return Some(now);
+        }
+        let mut bound = u64::MAX;
+        for (position, ahead) in self.remote_ahead.iter().enumerate() {
+            if position == self.ingress {
+                continue;
+            }
+            let Some((ready, next)) = head(position) else {
+                continue;
+            };
+            if let Some((a, b)) = ahead[next] {
+                bound = bound.min(ready.saturating_add(a).max(b));
+            }
+        }
+        (bound != u64::MAX).then(|| Cycle::new(bound))
     }
 }
 
@@ -486,5 +698,109 @@ mod tests {
         assert_eq!(stats.transactions, 2);
         assert_eq!(stats.data_beats, 16);
         assert_eq!(stats.bytes, u64::from(txn.bytes()) * 2);
+    }
+
+    fn read(id: u64) -> Transaction {
+        Transaction::new(
+            MasterId::new(7),
+            Addr::new(0x0100_0000),
+            TransferDirection::Read,
+            BurstKind::Incr4,
+            HSize::Word,
+        )
+        .with_id(TransactionId::new(id))
+    }
+
+    /// An endpoint for shard 3 whose replay master is position 2; master
+    /// 0 can cross 5 cycles after its head releases (but not before cycle
+    /// 40), master 1 has no remote item left.
+    fn endpoint() -> BridgeEndpoint {
+        BridgeEndpoint::new(
+            port(),
+            2,
+            vec![vec![Some((5, 40)), None], vec![None, None], Vec::new()],
+        )
+    }
+
+    #[test]
+    fn endpoint_resolves_an_owed_response_when_the_replay_completes() {
+        let mut endpoint = endpoint();
+        let source = read(9);
+        let replay = endpoint.accept_crossing(source, Some(1));
+        assert_eq!(replay, port().replay_txn(source));
+        // A replay nobody waits on is counted but sends nothing back.
+        let posted = endpoint.accept_crossing(read(10), None);
+        assert_eq!(endpoint.replay_completed(&posted, Cycle::new(30)), None);
+        assert_eq!(
+            endpoint.replay_completed(&replay, Cycle::new(50)),
+            Some(source)
+        );
+        let mut out = vec![BridgeCrossing::posted(Cycle::ZERO, source)];
+        endpoint.drain_egress_into(&mut out);
+        assert_eq!(
+            out,
+            vec![BridgeCrossing {
+                issued_at: Cycle::new(50),
+                txn: source,
+                leg: CrossingLeg::ReadResponse { origin: 1 },
+            }]
+        );
+        assert_eq!(endpoint.replayed().transactions, 2);
+        endpoint.drain_egress_into(&mut out);
+        assert!(out.is_empty(), "the drain empties the log");
+    }
+
+    #[test]
+    fn endpoint_retires_parked_reads_by_id() {
+        let mut endpoint = endpoint();
+        for (position, id) in [(0, 4), (1, 5)] {
+            endpoint.park(Parked {
+                position,
+                txn: read(id),
+                requested_at: Cycle::new(id),
+                granted_at: Cycle::new(id + 1),
+            });
+        }
+        let parked = endpoint.retire(TransactionId::new(5));
+        assert_eq!((parked.position, parked.requested_at), (1, Cycle::new(5)));
+        assert_eq!(endpoint.retire(TransactionId::new(4)).position, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "nobody is stalled on")]
+    fn endpoint_rejects_a_response_for_an_unparked_read() {
+        let _ = endpoint().retire(TransactionId::new(4));
+    }
+
+    #[test]
+    fn endpoint_lookahead_is_imminent_with_pending_egress_or_owed_responses() {
+        let now = Cycle::new(12);
+        // Both trace masters sit at position 0: master 0 released at 20
+        // can cross at max(20 + 5, 40) = 40; master 1 never can; the
+        // ingress table is never consulted.
+        let head = |position: usize| (position != 2).then_some((20, 0));
+        let mut endpoint = endpoint();
+        assert_eq!(
+            endpoint.next_possible_crossing(now, head),
+            Some(Cycle::new(40))
+        );
+        assert_eq!(endpoint.next_possible_crossing(now, |_| None), None);
+
+        endpoint.push_egress(now, read(1), CrossingLeg::Posted);
+        assert_eq!(endpoint.next_possible_crossing(now, head), Some(now));
+        endpoint.drain_egress_into(&mut Vec::new());
+        assert_eq!(
+            endpoint.next_possible_crossing(now, head),
+            Some(Cycle::new(40))
+        );
+
+        let replay = endpoint.accept_crossing(read(2), Some(0));
+        assert_eq!(endpoint.next_possible_crossing(now, head), Some(now));
+        endpoint.replay_completed(&replay, Cycle::new(30));
+        endpoint.drain_egress_into(&mut Vec::new());
+        assert_eq!(
+            endpoint.next_possible_crossing(now, head),
+            Some(Cycle::new(40))
+        );
     }
 }

@@ -39,14 +39,19 @@
 //! # Example
 //!
 //! ```
+//! use analysis::model::Probe;
 //! use analysis::recorder::Recorder;
 //! use analysis::report::ModelKind;
 //! use amba::ids::MasterId;
 //!
 //! let mut recorder = Recorder::new(ModelKind::TransactionLevel);
 //! recorder.register_master(MasterId::new(0), "cpu");
-//! let report = recorder.finish(1_000, 0.01);
+//! // The backend's own probe supplies the elapsed cycles and the
+//! // bus-level counters the recorder does not see (DRAM, write buffer).
+//! let probe = Probe { cycle: 1_000, ..Probe::default() };
+//! let report = recorder.finish(&probe, 0.01);
 //! assert_eq!(report.model, ModelKind::TransactionLevel);
+//! assert_eq!(report.total_cycles, 1_000);
 //! ```
 
 #![forbid(unsafe_code)]

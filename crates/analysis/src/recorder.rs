@@ -3,9 +3,9 @@
 //! The paper builds "bus and master port profiling features in
 //! transaction-level ports and some internal functions such as arbiter,
 //! write buffer and so on" (§3.6). [`Recorder`] is that profiling layer:
-//! the bus models call it on every completion, every busy span, every
-//! write-buffer event, and it condenses everything into a
-//! [`crate::report::SimReport`] at the end of the run.
+//! every backend calls it on every completion and every busy span, and
+//! it condenses everything, together with the bus-level counters of the
+//! backend's own [`Probe`], into a [`crate::report::SimReport`].
 
 use std::collections::BTreeMap;
 
@@ -14,6 +14,7 @@ use amba::qos::QosConfig;
 use amba::txn::Completion;
 use simkern::stats::CycleStats;
 
+use crate::model::Probe;
 use crate::report::{BusMetrics, MasterMetrics, ModelKind, SimReport};
 
 #[derive(Debug, Clone, Default)]
@@ -46,10 +47,6 @@ pub struct Recorder {
     transactions: u64,
     data_beats: u64,
     write_buffer_hits: u64,
-    write_buffer_peak: u64,
-    dram_row_hits: u64,
-    dram_accesses: u64,
-    assertion_errors: u64,
 }
 
 impl Recorder {
@@ -67,10 +64,6 @@ impl Recorder {
             transactions: 0,
             data_beats: 0,
             write_buffer_hits: 0,
-            write_buffer_peak: 0,
-            dram_row_hits: 0,
-            dram_accesses: 0,
-            assertion_errors: 0,
         }
     }
 
@@ -138,26 +131,6 @@ impl Recorder {
         self.contention_cycles += cycles;
     }
 
-    /// Records the current write-buffer occupancy (keeps the peak).
-    pub fn observe_write_buffer_fill(&mut self, fill: usize) {
-        self.write_buffer_peak = self.write_buffer_peak.max(fill as u64);
-    }
-
-    /// Publishes the DRAM access classification counts (hits include
-    /// prepared hits). *Set* semantics, not accumulate: the owning system
-    /// copies the controller's live totals in whenever a report or probe
-    /// is produced, so repeated snapshots must not double-count.
-    pub fn set_dram_stats(&mut self, row_hits: u64, accesses: u64) {
-        self.dram_row_hits = row_hits;
-        self.dram_accesses = accesses;
-    }
-
-    /// Publishes the number of assertion errors observed so far (*set*
-    /// semantics, see [`Recorder::set_dram_stats`]).
-    pub fn set_assertion_errors(&mut self, errors: u64) {
-        self.assertion_errors = errors;
-    }
-
     /// Number of completions recorded so far (cheap progress probe).
     #[must_use]
     pub fn completions(&self) -> u64 {
@@ -188,9 +161,13 @@ impl Recorder {
         self.write_buffer_hits
     }
 
-    /// Condenses everything into a [`SimReport`].
+    /// Condenses everything into a [`SimReport`]. The elapsed cycles and
+    /// the counters the recorder does not see — DRAM hits (row plus
+    /// prepared) and accesses, the write-buffer peak and assertion
+    /// errors — come from `probe`, the backend's snapshot of the same
+    /// instant, so repeated reports never double-count them.
     #[must_use]
-    pub fn finish(&self, total_cycles: u64, wall_seconds: f64) -> SimReport {
+    pub fn finish(&self, probe: &Probe, wall_seconds: f64) -> SimReport {
         let masters = self
             .accumulators
             .iter()
@@ -217,7 +194,7 @@ impl Recorder {
             .collect();
         SimReport {
             model: self.model,
-            total_cycles,
+            total_cycles: probe.cycle,
             wall_seconds,
             masters,
             bus: BusMetrics {
@@ -226,10 +203,10 @@ impl Recorder {
                 transactions: self.transactions,
                 data_beats: self.data_beats,
                 write_buffer_hits: self.write_buffer_hits,
-                write_buffer_peak: self.write_buffer_peak,
-                dram_row_hits: self.dram_row_hits,
-                dram_accesses: self.dram_accesses,
-                assertion_errors: self.assertion_errors,
+                write_buffer_peak: probe.write_buffer_peak,
+                dram_row_hits: probe.dram_row_hits + probe.dram_prepared_hits,
+                dram_accesses: probe.dram_accesses,
+                assertion_errors: probe.assertion_errors,
             },
         }
     }
@@ -241,6 +218,13 @@ mod tests {
     use amba::signal::HResp;
     use amba::txn::TransactionId;
     use simkern::time::Cycle;
+
+    fn at(cycle: u64) -> Probe {
+        Probe {
+            cycle,
+            ..Probe::default()
+        }
+    }
 
     fn completion(master: u8, issued: u64, granted: u64, done: u64, bytes: u32) -> Completion {
         Completion {
@@ -262,7 +246,7 @@ mod tests {
         r.record_completion(&completion(0, 0, 5, 20, 32), 8);
         r.record_completion(&completion(0, 10, 12, 40, 16), 4);
         r.record_completion(&completion(1, 0, 2, 30, 64), 16);
-        let report = r.finish(100, 0.001);
+        let report = r.finish(&at(100), 0.001);
         assert_eq!(report.masters.len(), 2);
         let cpu = &report.masters[&MasterId::new(0)];
         assert_eq!(cpu.completed, 2);
@@ -285,7 +269,7 @@ mod tests {
         // Grant latency 5: fine. Grant latency 30: violation.
         r.record_completion(&completion(1, 0, 5, 20, 64), 16);
         r.record_completion(&completion(1, 100, 130, 150, 64), 16);
-        let report = r.finish(200, 0.001);
+        let report = r.finish(&at(200), 0.001);
         assert_eq!(report.masters[&MasterId::new(1)].qos_violations, 1);
     }
 
@@ -294,20 +278,26 @@ mod tests {
         let mut r = Recorder::new(ModelKind::TransactionLevel);
         r.add_busy_cycles(60);
         r.add_contention_cycles(12);
-        r.observe_write_buffer_fill(2);
-        r.observe_write_buffer_fill(5);
-        r.observe_write_buffer_fill(1);
-        r.set_dram_stats(7, 10);
-        r.set_assertion_errors(1);
         let mut wb = completion(2, 0, 0, 9, 32);
         wb.via_write_buffer = true;
         r.record_completion(&wb, 8);
-        let report = r.finish(100, 0.5);
+        let probe = Probe {
+            cycle: 100,
+            write_buffer_peak: 5,
+            dram_row_hits: 4,
+            dram_prepared_hits: 3,
+            dram_accesses: 10,
+            assertion_errors: 1,
+            ..Probe::default()
+        };
+        let report = r.finish(&probe, 0.5);
+        assert_eq!(report.total_cycles, 100);
         assert_eq!(report.bus.busy_cycles, 60);
         assert_eq!(report.bus.contention_cycles, 12);
         assert_eq!(report.bus.write_buffer_peak, 5);
         assert_eq!(report.bus.write_buffer_hits, 1);
-        assert_eq!(report.bus.dram_row_hits, 7);
+        assert_eq!(report.bus.dram_row_hits, 7, "row plus prepared hits");
+        assert_eq!(report.bus.dram_accesses, 10);
         assert_eq!(report.bus.assertion_errors, 1);
         assert_eq!(report.bus.data_beats, 8);
         assert_eq!(r.completions(), 1);
@@ -319,24 +309,31 @@ mod tests {
 
     #[test]
     fn set_counters_are_idempotent_across_snapshots() {
-        // A step-driven run publishes external totals on every report;
-        // repeating the publication must not inflate the counters.
+        // A step-driven run reports from the backend's probe on every
+        // snapshot; the probe's totals are set into the report, never
+        // accumulated, so repeated snapshots must not inflate them.
         let mut r = Recorder::new(ModelKind::TransactionLevel);
-        r.set_dram_stats(7, 10);
-        r.set_assertion_errors(2);
-        r.set_dram_stats(7, 10);
-        r.set_assertion_errors(2);
-        let report = r.finish(100, 0.1);
+        let probe = Probe {
+            cycle: 100,
+            dram_row_hits: 7,
+            dram_accesses: 10,
+            assertion_errors: 2,
+            ..Probe::default()
+        };
+        let first = r.finish(&probe, 0.1);
+        r.add_busy_cycles(5);
+        let report = r.finish(&probe, 0.1);
         assert_eq!(report.bus.dram_row_hits, 7);
         assert_eq!(report.bus.dram_accesses, 10);
         assert_eq!(report.bus.assertion_errors, 2);
+        assert_eq!(first.bus.dram_accesses, report.bus.dram_accesses);
     }
 
     #[test]
     fn registered_but_idle_masters_appear_in_the_report() {
         let mut r = Recorder::new(ModelKind::PinAccurateRtl);
         r.register_master(MasterId::new(3), "writer");
-        let report = r.finish(10, 0.0);
+        let report = r.finish(&at(10), 0.0);
         assert_eq!(report.masters[&MasterId::new(3)].completed, 0);
         assert_eq!(report.masters[&MasterId::new(3)].label, "writer");
     }

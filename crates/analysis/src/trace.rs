@@ -31,6 +31,7 @@
 use std::fmt::Write as _;
 
 use crate::jsonfmt::escape_json;
+use crate::model::Probe;
 
 /// What a [`TraceEvent`] describes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -595,6 +596,17 @@ pub struct TraceLog {
 }
 
 impl TraceLog {
+    /// Fills the registry counters a backend's probe already keeps — DRAM
+    /// hits (row plus prepared), DRAM accesses and the write-buffer peak —
+    /// from `probe`, the backend's snapshot at the time the log is taken.
+    #[must_use]
+    pub fn with_probe_counters(mut self, probe: &Probe) -> TraceLog {
+        self.counters.dram_row_hits = probe.dram_row_hits + probe.dram_prepared_hits;
+        self.counters.dram_accesses = probe.dram_accesses;
+        self.counters.write_buffer_peak = probe.write_buffer_peak;
+        self
+    }
+
     /// Merges shard logs into one deterministic stream, ordered by
     /// `(cycle, shard, seq)` — the key is a total order over distinct
     /// events, so the merge is independent of the input partitioning and

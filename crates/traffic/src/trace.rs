@@ -6,6 +6,7 @@
 //! previous completion, or an absolute release cycle for periodic masters).
 //! Both bus models replay the identical trace, beat for beat.
 
+use amba::bridge::{BridgePort, CrossingTransform};
 use amba::check::validate_transaction;
 use amba::ids::{Addr, MasterId};
 use amba::txn::{Transaction, TransactionId, TransferDirection};
@@ -135,6 +136,35 @@ impl TrafficTrace {
     #[must_use]
     pub fn total_beats(&self) -> u64 {
         self.items.iter().map(|i| u64::from(i.txn.beats())).sum()
+    }
+
+    /// The backward min-plus transform table a bridge endpoint's lookahead
+    /// scan evaluates over this (static) trace. A release rule is the
+    /// affine-max function `f(t) = max(t + a, b)` (`AfterPrevious(gap)` →
+    /// `(gap, 0)`, `At(at)` → `(0, at)`); composing the rules from a trace
+    /// position up to its next item addressed outside `port`'s windows
+    /// gives that position's [`CrossingTransform`], so the earliest
+    /// crossing is found in O(1) per master. Entry `len()` is the
+    /// past-the-end sentinel (`None`).
+    #[must_use]
+    pub fn crossing_transforms(&self, port: &BridgePort) -> Vec<CrossingTransform> {
+        let step = |release: Release| match release {
+            Release::AfterPrevious(gap) => (gap.value(), 0),
+            Release::At(at) => (0, at.value()),
+        };
+        let items = &self.items;
+        let mut ahead: Vec<CrossingTransform> = vec![None; items.len() + 1];
+        for p in (0..items.len()).rev() {
+            ahead[p] = if port.is_remote(items[p].txn.addr) {
+                Some((0, 0))
+            } else {
+                ahead[p + 1].map(|(a2, b2)| {
+                    let (a1, b1) = step(items[p + 1].release);
+                    (a1.saturating_add(a2), b1.saturating_add(a2).max(b2))
+                })
+            };
+        }
+        ahead
     }
 }
 
