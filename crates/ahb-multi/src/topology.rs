@@ -206,14 +206,24 @@ impl Topology {
     /// Checks every link, bus-parameter and DDR override against a
     /// `shards`-shard platform: a mistyped index would otherwise be
     /// stored but never consulted, silently measuring the uniform
-    /// platform.
+    /// platform. The default link and every override must also describe
+    /// a link the bridge fabric can build: a non-zero crossing latency,
+    /// FIFO depth and forward interval.
     ///
     /// # Errors
     ///
-    /// Describes the first override that names a shard `>= shards`, or
-    /// the first self-link.
+    /// Describes the first unbuildable link, the first override that
+    /// names a shard `>= shards`, or the first self-link.
     pub fn validate_links(&self, shards: usize) -> Result<(), String> {
-        for &(source, destination, _) in &self.links {
+        if let Some(defect) = link_defect(&self.default_link) {
+            return Err(format!("the default link has {defect}"));
+        }
+        for &(source, destination, link) in &self.links {
+            if let Some(defect) = link_defect(&link) {
+                return Err(format!(
+                    "link override {source}->{destination} has {defect}"
+                ));
+            }
             if source >= shards || destination >= shards {
                 return Err(format!(
                     "link override {source}->{destination} names a shard outside 0..{shards}"
@@ -393,6 +403,22 @@ impl Topology {
     }
 }
 
+/// Why a link cannot be built, or `None` when it can: the crossing
+/// latency is the synchronization quantum and must advance time, the
+/// request FIFO needs at least one slot, and forwarding must advance
+/// time too.
+fn link_defect(link: &BridgeConfig) -> Option<&'static str> {
+    if link.crossing_latency == 0 {
+        Some("a zero crossing latency")
+    } else if link.fifo_depth == 0 {
+        Some("a zero-depth request FIFO")
+    } else if link.forward_interval == 0 {
+        Some("a zero forward interval")
+    } else {
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -463,6 +489,48 @@ mod tests {
             .contains("outside 0..2"));
         let selfish = Topology::uniform(ShardBackendKind::Tlm).with_link(1, 1, link);
         assert!(selfish.validate_links(2).unwrap_err().contains("self-link"));
+    }
+
+    #[test]
+    fn link_validation_rejects_links_the_fabric_cannot_build() {
+        let good = BridgeConfig::ahb_plus();
+        for (bad, defect) in [
+            (
+                BridgeConfig {
+                    fifo_depth: 0,
+                    ..good
+                },
+                "zero-depth request FIFO",
+            ),
+            (
+                BridgeConfig {
+                    crossing_latency: 0,
+                    ..good
+                },
+                "zero crossing latency",
+            ),
+            (
+                BridgeConfig {
+                    forward_interval: 0,
+                    ..good
+                },
+                "zero forward interval",
+            ),
+        ] {
+            let overridden = Topology::uniform(ShardBackendKind::Tlm).with_link(0, 1, bad);
+            let error = overridden.validate_links(2).unwrap_err();
+            assert!(
+                error.contains("override 0->1") && error.contains(defect),
+                "{error}"
+            );
+            let mut default = Topology::uniform(ShardBackendKind::Tlm);
+            default.default_link = bad;
+            let error = default.validate_links(2).unwrap_err();
+            assert!(
+                error.contains("default link") && error.contains(defect),
+                "{error}"
+            );
+        }
     }
 
     #[test]

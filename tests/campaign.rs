@@ -174,13 +174,14 @@ fn http_roundtrip(addr: &std::net::SocketAddr, request: &str) -> String {
 
 /// A request the server rejects must not cost it a handler: with a single
 /// handler thread, a `POST /run` whose topology links to a shard that does
-/// not exist answers 400, and the same handler then answers `/healthz`.
+/// not exist, or carries a link the bridge fabric cannot build, answers
+/// 400, and the same handler then answers `/healthz`.
 #[test]
 fn bad_topology_gets_a_400_and_the_only_handler_survives() {
     use ahbplus::{BridgeConfig, Canonical, ShardBackendKind, Topology};
     let server = CampaignServer::bind("127.0.0.1:0").expect("ephemeral port binds");
     let addr = server.local_addr().unwrap();
-    let handle = std::thread::spawn(move || server.serve(1, Some(2)));
+    let handle = std::thread::spawn(move || server.serve(1, Some(3)));
     // A dead handler would leave the next request waiting forever; bound
     // the wait so the failure is an assertion, not a hung test.
     let bounded_roundtrip = |request: &str| {
@@ -193,21 +194,36 @@ fn bad_topology_gets_a_400_and_the_only_handler_survives() {
         let _ = stream.read_to_string(&mut response);
         response
     };
-
     let spec = scenario("table1-a").unwrap().with_transactions(5);
+    let post = |topology: Topology| {
+        let body = format!(
+            "{{\"scenario\": {}, \"topology\": {}}}",
+            spec.to_canon().to_canonical_json(),
+            topology.to_canon().to_canonical_json()
+        );
+        bounded_roundtrip(&format!(
+            "POST /run HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        ))
+    };
+
     let dangling =
         Topology::uniform(ShardBackendKind::Tlm).with_link(0, 7, BridgeConfig::ahb_plus());
-    let body = format!(
-        "{{\"scenario\": {}, \"topology\": {}}}",
-        spec.to_canon().to_canonical_json(),
-        dangling.to_canon().to_canonical_json()
-    );
-    let run = bounded_roundtrip(&format!(
-        "POST /run HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
-        body.len()
-    ));
+    let run = post(dangling);
     assert!(run.starts_with("HTTP/1.1 400"), "{run}");
     assert!(run.contains("outside 0..2"), "{run}");
+
+    let zero_fifo = Topology::uniform(ShardBackendKind::Tlm).with_link(
+        0,
+        1,
+        BridgeConfig {
+            fifo_depth: 0,
+            ..BridgeConfig::ahb_plus()
+        },
+    );
+    let run = post(zero_fifo);
+    assert!(run.starts_with("HTTP/1.1 400"), "{run}");
+    assert!(run.contains("zero-depth request FIFO"), "{run}");
 
     let health = bounded_roundtrip("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n");
     assert!(health.starts_with("HTTP/1.1 200"), "{health}");
