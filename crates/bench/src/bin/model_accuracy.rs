@@ -1,7 +1,10 @@
-//! Regenerates the generalized accuracy experiment: every registered
-//! backend pair (RTL→TLM, RTL→LT, TLM→LT) lockstepped over the scenario
-//! catalogue, with per-counter error percentages and the functional
-//! results-match verdict per comparison.
+//! Regenerates the accuracy experiments. First the paper's Table 1: the
+//! pin-accurate and the transaction-level model on the three Table-1
+//! scenarios, one per-metric comparison per traffic pattern plus the
+//! overall average difference. Then the generalized experiment: every
+//! registered backend pair lockstepped over the scenario catalogue, with
+//! per-counter error percentages and the functional results-match
+//! verdict per comparison.
 //!
 //! ```text
 //! cargo run --release -p ahbplus-bench --bin model_accuracy \
@@ -13,7 +16,7 @@
 //! runs this per commit, so a backend that stops producing identical
 //! functional results breaks the build, not just a dashboard.
 
-use ahbplus::measure_accuracy_record;
+use ahbplus::{measure_accuracy_record, scenario, AccuracyReport};
 
 fn main() {
     let mut output_path = "BENCH_accuracy.json".to_owned();
@@ -43,6 +46,7 @@ fn main() {
         }
     }
 
+    print_table1(max_transactions);
     println!("Model accuracy — every backend pair over the scenario catalogue\n");
     let record = measure_accuracy_record(max_transactions);
     for comparison in &record.comparisons {
@@ -89,4 +93,32 @@ fn main() {
         );
         std::process::exit(1);
     }
+}
+
+/// Prints Table 1: rtl against tlm on each Table-1 scenario (capped at
+/// `max_transactions` per master, like the lockstep comparisons), then
+/// the average difference over the three patterns.
+fn print_table1(max_transactions: Option<usize>) {
+    println!("Table 1 — RTL vs TL cycle counts\n");
+    let mut reports = Vec::new();
+    for name in ["table1-a", "table1-b", "table1-c"] {
+        let spec = scenario(name).expect("catalogued Table-1 scenario");
+        let transactions = max_transactions.map_or(spec.transactions_per_master, |cap| {
+            spec.transactions_per_master.min(cap)
+        });
+        let config = spec
+            .with_transactions(transactions)
+            .resolve()
+            .expect("catalogue scenarios resolve");
+        let report =
+            AccuracyReport::compare(config.pattern.name, &config.run_rtl(), &config.run_tlm());
+        println!("{}", report.format_table());
+        reports.push(report);
+    }
+    let average = AccuracyReport::overall_average_error(&reports);
+    println!(
+        "overall: average difference {average:.2}%  (accuracy {:.1}%)",
+        (100.0 - average).max(0.0)
+    );
+    println!("paper reference: average difference below 3% (97% accuracy on average).\n");
 }

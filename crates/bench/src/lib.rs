@@ -1,24 +1,26 @@
 //! `ahbplus-bench` — the benchmark harness that regenerates every table and
 //! figure of the paper's evaluation.
 //!
-//! * `cargo run --release -p ahbplus-bench --bin table1_accuracy` — Table 1:
-//!   per-pattern RTL-vs-TLM cycle-count comparison.
+//! * `cargo run --release -p ahbplus-bench --bin model_accuracy` — Table 1
+//!   (per-pattern RTL-vs-TLM cycle-count comparison and its overall
+//!   average) plus every registered backend pair lockstepped over the
+//!   scenario catalogue, written to `BENCH_accuracy.json`.
 //! * `cargo run --release -p ahbplus-bench --bin table2_speed` — the §4
 //!   simulation-speed comparison (Kcycles/s and speed-up).
-//! * `cargo bench -p ahbplus-bench` — criterion benchmarks: `accuracy`
-//!   (model agreement guard), `speed` (wall-clock per simulated cycle of
-//!   both models), `ablation` (QoS / bank-interleaving / write-buffer design
-//!   choices) and `kernel` (micro-benchmarks of the simulation substrate).
+//! * `cargo bench -p ahbplus-bench` — criterion benchmarks: `ablation`
+//!   (QoS / bank-interleaving / write-buffer design choices), `kernel`
+//!   (transaction flow and DDR controller micro-benchmarks) and `sync`
+//!   (multi-bus barrier and exchange overhead).
 //!
 //! The library part only hosts shared helpers for the binaries and benches.
 
 use ahbplus::PlatformConfig;
 use traffic::TrafficPattern;
 
-/// The workload length (transactions per master) used by the full table
-/// regenerations. The `table2_speed` binary resolves the equivalent
-/// workload from the scenario catalogue (`ahbplus::scenario("table2-speed")`);
-/// this constant remains the length used by `table1_accuracy`.
+/// The workload length (transactions per master) of the §4 speed
+/// workload. The `table2_speed` binary resolves it from the scenario
+/// catalogue (`ahbplus::scenario("table2-speed")`); the test below keeps
+/// the two in step.
 pub const FULL_RUN_TRANSACTIONS: usize = 1_000;
 
 /// The workload length used by the criterion benches (kept small so a bench

@@ -103,9 +103,6 @@
 //!   the first cycle at which their observable state diverges — the
 //!   paper's "simulation results were identical" claim as an executable
 //!   check.
-//! * [`validation`] — the Table-1 experiment: run both cycle-counting
-//!   models on identical stimulus and compare their cycle-count metrics
-//!   ([`analysis::AccuracyReport`]).
 //! * [`mod@accuracy`] — the generalized experiment: every registered
 //!   backend pair lockstepped over the scenario catalogue, per-counter
 //!   error percentages, `BENCH_accuracy.json`.
@@ -121,7 +118,15 @@
 //!    progress guarantee, `finished`, `probe`, idempotent `report` (see
 //!    the trait docs for the contract; `ahb-lt` is the smallest worked
 //!    example, `ahb-multi` the worked example of a *composite* backend
-//!    that aggregates other backends' probes);
+//!    that aggregates other backends' probes). Record completions and
+//!    busy/contention cycles into an [`analysis::recorder::Recorder`]
+//!    and `report` is one line, `recorder.finish(&self.probe(), wall)`:
+//!    the recorder takes elapsed cycles, DRAM, write-buffer and
+//!    assertion counters from the probe. A backend that can be a shard
+//!    of a multi-bus platform embeds one [`amba::bridge::BridgeEndpoint`]
+//!    (port, egress log, replay stats, parked reads, owed responses,
+//!    lookahead tables) and adds an `ahb-multi` `ShardEngine` variant;
+//!    it keeps only its own tracing and its buffered remote writes;
 //! 2. add a [`ModelKind`] variant with a unique `id()` and a
 //!    [`PlatformConfig::build_model`] arm so scenarios resolve to it;
 //! 3. register a builder in [`speed::standard_models`].
@@ -340,7 +345,6 @@ pub mod platform;
 pub mod scenario;
 pub mod simulation;
 pub mod speed;
-pub mod validation;
 
 pub use accuracy::{compare_pair_on, measure_accuracy_record, model_pairs};
 pub use canonical::Canonical;
@@ -353,7 +357,6 @@ pub use simulation::{
 pub use speed::{
     measure_models, measure_models_with_reps, measure_speed_record, standard_models, ModelSpec,
 };
-pub use validation::{validate_pattern, validate_table1, Table1};
 
 // Re-export the building blocks so downstream users need only one
 // dependency.

@@ -19,10 +19,10 @@ use ahbplus::{run_lockstep, run_lockstep_traced, scenario, AccuracyReport};
 use simkern::time::CycleDelta;
 
 fn main() {
-    // 500 transactions per master per Table-1 pattern keeps the example
-    // under a minute; the benchmark binary `table1_accuracy` runs the
-    // full-length version. The table2 speed workload rides along so the
-    // co-simulation also covers the §4 configuration.
+    // The catalogued Table-1 workloads (500 transactions per master), the
+    // same ones `model_accuracy` prints its Table-1 view from. The table2
+    // speed workload rides along so the co-simulation also covers the §4
+    // configuration.
     let workloads = ["table1-a", "table1-b", "table1-c", "table2-speed"];
     let mut errors = Vec::new();
     for name in workloads {
