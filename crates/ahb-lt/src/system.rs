@@ -229,8 +229,9 @@ impl LtSystem {
     /// Builds a platform that is one *shard* of a multi-bus system, with
     /// the AHB-to-AHB bridge port attached: remote-window transactions
     /// complete against the bridge slave (no local DRAM access) and are
-    /// logged as [`amba::bridge::BridgeCrossing`]s; an extra bridge master replays the
-    /// crossings delivered by [`LtSystem::inject_crossing`].
+    /// logged as [`amba::bridge::BridgeCrossing`]s in its
+    /// [`BridgeEndpoint`]; an extra bridge master replays the crossings
+    /// delivered by [`LtSystem::inject_crossing`].
     ///
     /// # Panics
     ///

@@ -144,8 +144,9 @@ impl TlmSystem {
     /// of the trace masters it carries the AHB-to-AHB bridge port —
     /// transactions to remote shard windows complete against the bridge
     /// slave (posted into the request FIFO, no local DRAM access) and are
-    /// logged as [`amba::bridge::BridgeCrossing`]s, and an extra bridge *master* replays
-    /// the crossings delivered by [`TlmSystem::inject_crossing`].
+    /// logged as [`amba::bridge::BridgeCrossing`]s in its
+    /// [`BridgeEndpoint`], and an extra bridge *master* replays the
+    /// crossings delivered by [`TlmSystem::inject_crossing`].
     ///
     /// # Panics
     ///
