@@ -7,12 +7,9 @@
 //! it condenses everything, together with the bus-level counters of the
 //! backend's own [`Probe`], into a [`crate::report::SimReport`].
 
-use std::collections::BTreeMap;
-
 use amba::ids::MasterId;
 use amba::qos::QosConfig;
 use amba::txn::Completion;
-use simkern::stats::CycleStats;
 
 use crate::model::Probe;
 use crate::report::{BusMetrics, MasterMetrics, ModelKind, SimReport};
@@ -23,9 +20,21 @@ struct MasterAccumulator {
     completed: u64,
     bytes: u64,
     last_completion_cycle: u64,
-    latency: CycleStats,
-    grant_latency: CycleStats,
+    latency_sum: u64,
+    latency_max: u64,
+    grant_latency_sum: u64,
     qos_violations: u64,
+}
+
+impl MasterAccumulator {
+    /// `sum / completed`, 0 before the first completion.
+    fn mean(&self, sum: u64) -> f64 {
+        if self.completed == 0 {
+            0.0
+        } else {
+            sum as f64 / self.completed as f64
+        }
+    }
 }
 
 /// Collects raw profiling events during a run and produces a [`SimReport`].
@@ -37,7 +46,6 @@ pub struct Recorder {
     /// once per transaction and must not pay a tree lookup.
     accumulators: Vec<(MasterId, MasterAccumulator)>,
     slots: [u8; 256],
-    qos: BTreeMap<MasterId, QosConfig>,
     /// Direct-indexed QoS objectives (`master.index()` → objective cycles,
     /// `u64::MAX` = not real-time): completion recording is once per
     /// transaction, so it must not pay a tree lookup.
@@ -57,7 +65,6 @@ impl Recorder {
             model,
             accumulators: Vec::new(),
             slots: [u8::MAX; 256],
-            qos: BTreeMap::new(),
             qos_objective: [u64::MAX; 256],
             busy_cycles: 0,
             contention_cycles: 0,
@@ -75,11 +82,19 @@ impl Recorder {
     }
 
     /// Accumulator position for `master`, creating one on first sight.
+    #[inline]
     fn slot_of(&mut self, master: MasterId) -> usize {
         let slot = self.slots[master.index()];
         if slot != u8::MAX {
             return usize::from(slot);
         }
+        self.add_slot(master)
+    }
+
+    /// First-sight path of [`Recorder::slot_of`], kept out of line so the
+    /// per-completion lookup stays small enough to inline.
+    #[cold]
+    fn add_slot(&mut self, master: MasterId) -> usize {
         let position = self.accumulators.len();
         assert!(position < usize::from(u8::MAX), "too many masters");
         self.accumulators
@@ -95,10 +110,10 @@ impl Recorder {
         } else {
             u64::MAX
         };
-        self.qos.insert(master, qos);
     }
 
     /// Records one completed transaction.
+    #[inline]
     pub fn record_completion(&mut self, completion: &Completion, beats: u32) {
         let objective = self.qos_objective[completion.master.index()];
         let slot = self.slot_of(completion.master);
@@ -108,9 +123,12 @@ impl Recorder {
         acc.last_completion_cycle = acc
             .last_completion_cycle
             .max(completion.completed_at.value());
-        acc.latency.record(completion.total_latency());
-        acc.grant_latency.record(completion.grant_latency());
-        if completion.grant_latency() > objective {
+        let latency = completion.total_latency();
+        let grant_latency = completion.grant_latency();
+        acc.latency_sum += latency;
+        acc.latency_max = acc.latency_max.max(latency);
+        acc.grant_latency_sum += grant_latency;
+        if grant_latency > objective {
             acc.qos_violations += 1;
         }
         self.transactions += 1;
@@ -184,9 +202,9 @@ impl Recorder {
                         completed: acc.completed,
                         bytes: acc.bytes,
                         last_completion_cycle: acc.last_completion_cycle,
-                        avg_latency: acc.latency.mean(),
-                        max_latency: acc.latency.max() as f64,
-                        avg_grant_latency: acc.grant_latency.mean(),
+                        avg_latency: acc.mean(acc.latency_sum),
+                        max_latency: acc.latency_max as f64,
+                        avg_grant_latency: acc.mean(acc.grant_latency_sum),
                         qos_violations: acc.qos_violations,
                     },
                 )

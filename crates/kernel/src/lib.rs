@@ -13,7 +13,7 @@
 //! * [`time`] — strongly-typed cycle counts.
 //! * [`rng`] — deterministic pseudo random number generation so that the
 //!   RTL and TLM runs replay bit-identical stimulus.
-//! * [`stats`] — monotone counters and integer cycle-count statistics.
+//! * [`stats`] — monotone event counters.
 //! * [`assertion`] — simulation-time property checking (paper §3.5).
 //!
 //! # Idle-skip contract
@@ -65,5 +65,5 @@ pub use assertion::{AssertionKind, AssertionSink, Severity, Violation};
 pub use component::Clocked;
 pub use rng::SimRng;
 pub use signal::Register;
-pub use stats::{Counter, CycleStats};
+pub use stats::Counter;
 pub use time::{Cycle, CycleDelta};
