@@ -9,12 +9,16 @@
 //!    every catalogue scenario and every backend, the per-transaction
 //!    components (arbitration wait + attributed service) sum to the
 //!    observed request→completion span, with no residual.
+//! 3. Ordering is the stable `(cycle, shard, seq)` sort — `Tracer::take`
+//!    and `TraceLog::merge` return exactly what a stable `sort_by_key`
+//!    of the emitted events returns, on random streams dense with
+//!    repeated cycles and (across merged parts) repeated whole keys.
 
 use ahbplus::{scenario_catalogue, PlatformConfig};
 use analysis::model::BusModel;
 use analysis::profile::{Profile, ProfileOptions};
 use analysis::report::ModelKind;
-use analysis::trace::{TraceEvent, TraceEventKind, TraceLog};
+use analysis::trace::{TraceCounters, TraceEvent, TraceEventKind, TraceLog, Tracer};
 use proptest::prelude::*;
 
 /// Runs one backend over the config with tracing enabled and returns
@@ -82,6 +86,78 @@ proptest! {
                 .unwrap_or_else(|e| panic!("parse '{line}': {e}"));
             prop_assert_eq!(&parsed, event);
         }
+    }
+}
+
+/// A span event drawn from `bits`: cycles and shards from tiny ranges, so
+/// streams repeat them densely; `id` keeps the whole draw, so events with
+/// equal sort keys stay distinguishable.
+fn drawn_span(bits: u64, seq: u32) -> TraceEvent {
+    let cycle = bits % 8;
+    TraceEvent {
+        cycle,
+        start: cycle.saturating_sub((bits >> 3) % 4),
+        grant: cycle,
+        shard: ((bits >> 5) % 3) as u16,
+        seq,
+        master: ((bits >> 7) % 4) as u16,
+        id: bits,
+        bytes: 32,
+        flags: 0,
+        kind: TraceEventKind::Span,
+    }
+}
+
+proptest! {
+    /// `Tracer::take` orders what one tracer emitted exactly as a stable
+    /// sort of the emission sequence would.
+    #[test]
+    fn tracer_take_equals_a_stable_sort_of_the_emission_order(
+        draws in prop::collection::vec(0u64..1 << 20, 0..64),
+        shard in 0u16..4,
+    ) {
+        let mut tracer = Tracer::disabled();
+        tracer.set_enabled(true);
+        tracer.set_shard(shard);
+        let mut emitted = Vec::new();
+        for (seq, &bits) in draws.iter().enumerate() {
+            let event = TraceEvent { shard, ..drawn_span(bits, seq as u32) };
+            tracer.span(
+                event.master, event.id, event.start, event.grant, event.cycle, event.bytes, 0,
+            );
+            emitted.push(event);
+        }
+        emitted.sort_by_key(TraceEvent::sort_key);
+        prop_assert_eq!(tracer.take().events, emitted);
+    }
+
+    /// `TraceLog::merge` equals a stable sort of the concatenated parts:
+    /// on a tie the earlier part's event comes first, and a part that is
+    /// not itself sorted still lands in stable order.
+    #[test]
+    fn merge_equals_a_stable_sort_of_the_concatenated_parts(
+        parts in prop::collection::vec(prop::collection::vec(0u64..1 << 20, 0..40), 0..6),
+    ) {
+        let logs: Vec<TraceLog> = parts
+            .iter()
+            .map(|draws| {
+                // Sequence numbers restart per part, so whole keys repeat
+                // across parts; every other part arrives pre-sorted.
+                let mut events: Vec<TraceEvent> = draws
+                    .iter()
+                    .enumerate()
+                    .map(|(seq, &bits)| drawn_span(bits, (seq % 5) as u32))
+                    .collect();
+                if draws.len() % 2 == 0 {
+                    events.sort_by_key(TraceEvent::sort_key);
+                }
+                TraceLog { events, counters: TraceCounters::default() }
+            })
+            .collect();
+        let mut expected: Vec<TraceEvent> =
+            logs.iter().flat_map(|log| log.events.iter().copied()).collect();
+        expected.sort_by_key(TraceEvent::sort_key);
+        prop_assert_eq!(TraceLog::merge(logs).events, expected);
     }
 }
 
