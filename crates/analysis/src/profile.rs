@@ -37,7 +37,8 @@
 //! `.ahbt` [`crate::tracebin::TraceReader`]), keeping memory
 //! proportional to the transaction count, not the event count.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 
 use crate::jsonfmt::json_f64;
@@ -101,24 +102,28 @@ pub struct TxnBreakdown {
     pub class: ServiceClass,
 }
 
+/// The three intervals saturate at zero: every backend emits
+/// `start <= grant <= end`, but a trace read back from a file need not,
+/// and a malformed event must not panic the profiler.
 impl TxnBreakdown {
     /// End-to-end master-visible latency (request → retire).
     #[must_use]
     pub fn latency(&self) -> u64 {
-        self.end - self.start
+        self.end.saturating_sub(self.start)
     }
 
     /// Arbitration wait component (request → grant).
     #[must_use]
     pub fn arb_wait(&self) -> u64 {
-        self.grant - self.start
+        self.grant.saturating_sub(self.start)
     }
 
     /// Service component (grant → retire), attributed to
-    /// [`TxnBreakdown::class`]. `arb_wait + service == latency` exactly.
+    /// [`TxnBreakdown::class`]. `arb_wait + service == latency` exactly
+    /// whenever `start <= grant <= end`.
     #[must_use]
     pub fn service(&self) -> u64 {
-        self.end - self.grant
+        self.end.saturating_sub(self.grant)
     }
 }
 
@@ -345,27 +350,60 @@ struct GroupSamples {
     components: ComponentTotals,
 }
 
+/// Sample groups indexed directly by master or shard id, so the per-event
+/// lookup is an array index; `None` marks an id no event has named.
+#[derive(Debug, Default)]
+struct Groups(Vec<Option<GroupSamples>>);
+
+impl Groups {
+    fn entry(&mut self, key: u16) -> &mut GroupSamples {
+        let index = usize::from(key);
+        if index >= self.0.len() {
+            self.0.resize_with(index + 1, || None);
+        }
+        self.0[index].get_or_insert_with(GroupSamples::default)
+    }
+
+    /// The finished groups in id order, `skip` left out.
+    fn finish(&mut self, skip: Option<u16>) -> Vec<GroupProfile> {
+        self.0
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(index, samples)| {
+                let key = index as u16;
+                let samples = samples.as_mut().filter(|_| Some(key) != skip)?;
+                Some(GroupProfile::from_samples(key, samples))
+            })
+            .collect()
+    }
+}
+
 /// Streaming profile accumulator: feed events in any order via
 /// [`ProfileBuilder::add`], then [`ProfileBuilder::finish`]. Only
 /// per-transaction pairing state and latency samples are retained, so
 /// memory scales with transactions, not events.
+///
+/// The per-event path does no hashing: groups and the utilization
+/// timeline are indexed by id and window number, and the pairing state
+/// (absorbed writes awaiting their drain, crossings awaiting their next
+/// leg) lives in ordered maps that hold only what is in flight.
 #[derive(Debug, Default)]
 pub struct ProfileBuilder {
     options: ProfileOptions,
-    masters: HashMap<u16, GroupSamples>,
-    shards: HashMap<u16, GroupSamples>,
+    masters: Groups,
+    shards: Groups,
     overall: GroupSamples,
     /// Absorption cycle per (master, id), consumed by the drain.
-    absorbed_at: HashMap<(u16, u64), u64>,
+    absorbed_at: BTreeMap<(u16, u64), u64>,
     /// Pending egress cycles per (master, id) — a non-posted read
     /// crosses twice (request out, response back), hence a small queue.
-    egress_at: HashMap<(u16, u64), Vec<u64>>,
+    egress_at: BTreeMap<(u16, u64), Vec<u64>>,
     /// (master, id) of remote reads whose response leg arrived; their
     /// closing span is a round trip. The response event always sorts
     /// before its span (same cycle, lower sequence number).
-    responded: HashSet<(u16, u64)>,
+    responded: BTreeSet<(u16, u64)>,
     /// Busy cycles per timeline window index.
-    busy: HashMap<u64, u64>,
+    busy: Vec<u64>,
     slowest: Vec<TxnBreakdown>,
     max_cycle: u64,
     events: u64,
@@ -387,12 +425,16 @@ impl ProfileBuilder {
             return;
         }
         let window = self.options.window;
+        let last = usize::try_from((to - 1) / window).expect("timeline window index fits usize");
+        if last >= self.busy.len() {
+            self.busy.resize(last + 1, 0);
+        }
         let mut cursor = from;
         while cursor < to {
             let index = cursor / window;
             let window_end = (index + 1) * window;
             let slice_end = to.min(window_end);
-            *self.busy.entry(index).or_insert(0) += slice_end - cursor;
+            self.busy[index as usize] += slice_end - cursor;
             cursor = slice_end;
         }
     }
@@ -400,8 +442,8 @@ impl ProfileBuilder {
     fn record_txn(&mut self, txn: TxnBreakdown) {
         let latency = txn.latency();
         for samples in [
-            self.masters.entry(txn.master).or_default(),
-            self.shards.entry(txn.shard).or_default(),
+            self.masters.entry(txn.master),
+            self.shards.entry(txn.shard),
             &mut self.overall,
         ] {
             samples.latencies.push(latency);
@@ -476,8 +518,8 @@ impl ProfileBuilder {
                 if let Some(absorbed) = self.absorbed_at.remove(&key) {
                     let residency = event.cycle.saturating_sub(absorbed);
                     for samples in [
-                        self.masters.entry(event.master).or_default(),
-                        self.shards.entry(event.shard).or_default(),
+                        self.masters.entry(event.master),
+                        self.shards.entry(event.shard),
                         &mut self.overall,
                     ] {
                         samples.components.write_buffer_residency += residency;
@@ -494,17 +536,18 @@ impl ProfileBuilder {
                 // Pair against the oldest pending egress for this
                 // transaction: replay legs measure FIFO queueing, the
                 // response leg measures the return-FIFO crossing.
-                if let Some(pending) = self.egress_at.get_mut(&key) {
-                    if !pending.is_empty() {
-                        let issued = pending.remove(0);
-                        let wait = event.cycle.saturating_sub(issued);
-                        for samples in [
-                            self.masters.entry(event.master).or_default(),
-                            self.shards.entry(event.shard).or_default(),
-                            &mut self.overall,
-                        ] {
-                            samples.components.bridge_queueing += wait;
-                        }
+                if let Entry::Occupied(mut pending) = self.egress_at.entry(key) {
+                    let issued = pending.get_mut().remove(0);
+                    if pending.get().is_empty() {
+                        pending.remove();
+                    }
+                    let wait = event.cycle.saturating_sub(issued);
+                    for samples in [
+                        self.masters.entry(event.master),
+                        self.shards.entry(event.shard),
+                        &mut self.overall,
+                    ] {
+                        samples.components.bridge_queueing += wait;
                     }
                 }
             }
@@ -518,19 +561,8 @@ impl ProfileBuilder {
     /// renders the utilization timeline.
     #[must_use]
     pub fn finish(mut self) -> Profile {
-        let mut masters: Vec<GroupProfile> = self
-            .masters
-            .iter_mut()
-            .map(|(key, samples)| GroupProfile::from_samples(*key, samples))
-            .collect();
-        masters.sort_by_key(|g| g.key);
-        let mut shards: Vec<GroupProfile> = self
-            .shards
-            .iter_mut()
-            .filter(|(key, _)| **key != SCHEDULER_SHARD)
-            .map(|(key, samples)| GroupProfile::from_samples(*key, samples))
-            .collect();
-        shards.sort_by_key(|g| g.key);
+        let masters = self.masters.finish(None);
+        let shards = self.shards.finish(Some(SCHEDULER_SHARD));
         let overall = GroupProfile::from_samples(0, &mut self.overall);
         let shard_count = shards.len().max(1) as u64;
         let window = self.options.window.max(1);
@@ -542,7 +574,7 @@ impl ProfileBuilder {
         let timeline: Vec<UtilizationWindow> = (0..windows)
             .map(|index| UtilizationWindow {
                 start: index * window,
-                busy: self.busy.get(&index).copied().unwrap_or(0),
+                busy: self.busy.get(index as usize).copied().unwrap_or(0),
                 capacity: window * shard_count,
             })
             .collect();
@@ -1124,6 +1156,20 @@ mod tests {
         let summary = profile.summary_json();
         assert!(summary.contains("\"p99\""), "{summary}");
         assert!(summary.contains("\"arb_wait\""), "{summary}");
+    }
+
+    #[test]
+    fn out_of_order_span_stamps_saturate_instead_of_panicking() {
+        let mut tracer = Tracer::disabled();
+        tracer.set_enabled(true);
+        // Granted after it retired, and retired before it was requested.
+        tracer.span(0, 1, 0, 9, 4, 8, 0);
+        tracer.span(0, 2, 30, 20, 10, 8, 0);
+        let profile = Profile::from_log(&tracer.take(), ProfileOptions::default());
+        let c = &profile.overall.components;
+        assert_eq!(profile.overall.count, 2);
+        assert_eq!((c.arb_wait, c.ddr_row_miss), (9, 0));
+        assert_eq!(profile.overall.percentiles.max, 4);
     }
 
     #[test]

@@ -158,6 +158,44 @@ pub struct TraceEvent {
 /// every real shard at the same cycle.
 pub const SCHEDULER_SHARD: u16 = u16::MAX;
 
+/// The longest [`TraceEvent::to_json_line`] rendering: 122 bytes of
+/// fixed text with the longest kind name, plus 113 digits with every
+/// integer at its widest (four `u64`, two `u16`, two `u32`, one `u8`).
+const JSON_LINE_MAX: usize = 235;
+
+/// `"00"`, `"01"`, … `"99"`: two decimal digits per table lookup.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut table = [0u8; 200];
+    let mut i = 0;
+    while i < 100 {
+        table[2 * i] = b'0' + (i / 10) as u8;
+        table[2 * i + 1] = b'0' + (i % 10) as u8;
+        i += 1;
+    }
+    table
+};
+
+/// Appends the decimal digits of `value` to `out`.
+fn push_decimal(out: &mut Vec<u8>, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    while value >= 100 {
+        let pair = (value % 100) as usize * 2;
+        value /= 100;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if value >= 10 {
+        let pair = value as usize * 2;
+        at -= 2;
+        digits[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        digits[at] = b'0' + value as u8;
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
 impl TraceEvent {
     /// Total order used by [`TraceLog::merge`]: cycle, then shard, then
     /// per-shard sequence. Within one shard this equals emission order.
@@ -177,20 +215,38 @@ impl TraceEvent {
     /// of rendered streams is the determinism contract.
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"cycle\": {}, \"shard\": {}, \"seq\": {}, \"kind\": \"{}\", \"master\": {}, \
-             \"id\": {}, \"start\": {}, \"grant\": {}, \"bytes\": {}, \"flags\": {}}}",
-            self.cycle,
-            self.shard,
-            self.seq,
-            self.kind.id(),
-            self.master,
-            self.id,
-            self.start,
-            self.grant,
-            self.bytes,
-            self.flags
-        )
+        let mut line = Vec::with_capacity(JSON_LINE_MAX);
+        self.write_json_line(&mut line);
+        String::from_utf8(line).expect("the trace encoder writes only ASCII")
+    }
+
+    /// Appends the [`TraceEvent::to_json_line`] rendering (no trailing
+    /// newline) to `out`. This is the one trace encoder: integers are
+    /// formatted in place, so a caller that reuses `out` renders a whole
+    /// stream without allocating per event.
+    pub fn write_json_line(&self, out: &mut Vec<u8>) {
+        out.reserve(JSON_LINE_MAX);
+        out.extend_from_slice(b"{\"cycle\": ");
+        push_decimal(out, self.cycle);
+        out.extend_from_slice(b", \"shard\": ");
+        push_decimal(out, u64::from(self.shard));
+        out.extend_from_slice(b", \"seq\": ");
+        push_decimal(out, u64::from(self.seq));
+        out.extend_from_slice(b", \"kind\": \"");
+        out.extend_from_slice(self.kind.id().as_bytes());
+        out.extend_from_slice(b"\", \"master\": ");
+        push_decimal(out, u64::from(self.master));
+        out.extend_from_slice(b", \"id\": ");
+        push_decimal(out, self.id);
+        out.extend_from_slice(b", \"start\": ");
+        push_decimal(out, self.start);
+        out.extend_from_slice(b", \"grant\": ");
+        push_decimal(out, self.grant);
+        out.extend_from_slice(b", \"bytes\": ");
+        push_decimal(out, u64::from(self.bytes));
+        out.extend_from_slice(b", \"flags\": ");
+        push_decimal(out, u64::from(self.flags));
+        out.push(b'}');
     }
 
     /// Parses one canonical JSON line (the [`TraceEvent::to_json_line`]
@@ -573,11 +629,13 @@ impl Tracer {
     /// canonical `(cycle, shard, seq)` order — some lifecycle events are
     /// recorded later than their cycle stamp (a non-posted read's span
     /// closes when its response returns), so emission order is not cycle
-    /// order.
+    /// order. One tracer numbers its events with distinct `seq` values,
+    /// so no two keys tie and the in-place unstable sort gives the stable
+    /// order without a scratch buffer.
     pub fn take(&mut self) -> TraceLog {
         self.seq = 0;
         let mut events = std::mem::take(&mut self.events);
-        events.sort_by_key(TraceEvent::sort_key);
+        events.sort_unstable_by_key(TraceEvent::sort_key);
         TraceLog {
             events,
             counters: TraceCounters::default(),
@@ -610,7 +668,9 @@ impl TraceLog {
     /// Merges shard logs into one deterministic stream, ordered by
     /// `(cycle, shard, seq)` — the key is a total order over distinct
     /// events, so the merge is independent of the input partitioning and
-    /// of which scheduler mode produced the parts.
+    /// of which scheduler mode produced the parts. The parts come sorted
+    /// from [`Tracer::take`], and the stable sort finds them as runs and
+    /// merges them, taking the earlier part's event on a tie.
     #[must_use]
     pub fn merge(parts: Vec<TraceLog>) -> TraceLog {
         let mut counters = TraceCounters::default();
@@ -650,12 +710,12 @@ impl TraceLog {
     /// determinism contract the scheduler-mode tests assert.
     #[must_use]
     pub fn to_json_lines(&self) -> String {
-        let mut out = String::with_capacity(self.events.len() * 96);
+        let mut out = Vec::with_capacity(self.events.len() * 128);
         for event in &self.events {
-            out.push_str(&event.to_json_line());
-            out.push('\n');
+            event.write_json_line(&mut out);
+            out.push(b'\n');
         }
-        out
+        String::from_utf8(out).expect("the trace encoder writes only ASCII")
     }
 
     /// Renders the stream as Chrome-trace / Perfetto JSON (the
@@ -892,6 +952,96 @@ mod tests {
             "{\"cycle\": 20, \"shard\": 0, \"seq\": 0, \"kind\": \"span\", \"master\": 1, \
              \"id\": 7, \"start\": 10, \"grant\": 12, \"bytes\": 32, \"flags\": 0}\n"
         );
+    }
+
+    /// The `format!` rendering the byte encoder replaced, kept as the
+    /// oracle the encoder must match byte for byte.
+    fn formatted_json_line(event: &TraceEvent) -> String {
+        format!(
+            "{{\"cycle\": {}, \"shard\": {}, \"seq\": {}, \"kind\": \"{}\", \"master\": {}, \
+             \"id\": {}, \"start\": {}, \"grant\": {}, \"bytes\": {}, \"flags\": {}}}",
+            event.cycle,
+            event.shard,
+            event.seq,
+            event.kind.id(),
+            event.master,
+            event.id,
+            event.start,
+            event.grant,
+            event.bytes,
+            event.flags
+        )
+    }
+
+    #[test]
+    fn encoder_matches_the_formatted_rendering_on_edge_values() {
+        let kinds = [
+            TraceEventKind::Span,
+            TraceEventKind::Absorb,
+            TraceEventKind::Drain,
+            TraceEventKind::BridgeEgress,
+            TraceEventKind::BridgeReplay,
+            TraceEventKind::BridgeResponse,
+            TraceEventKind::Barrier,
+            TraceEventKind::Stretch,
+        ];
+        let wide = [0, 1, 9, 10, 99, 100, 101, 999, 1000, 65_535, 4_294_967_295];
+        let mut line = Vec::new();
+        let mut longest = 0;
+        for (i, kind) in kinds.into_iter().enumerate() {
+            for (j, &value) in wide.iter().chain(&[u64::MAX - 1, u64::MAX]).enumerate() {
+                let at = |k: usize| wide[(j + k) % wide.len()];
+                let event = TraceEvent {
+                    cycle: value,
+                    start: if i % 2 == 0 { u64::MAX } else { at(1) },
+                    grant: at(2),
+                    shard: if j == 0 { u16::MAX } else { at(3) as u16 },
+                    seq: if j == 1 { u32::MAX } else { at(4) as u32 },
+                    master: if j == 2 { u16::MAX } else { at(5) as u16 },
+                    id: if j % 2 == 0 { u64::MAX } else { value },
+                    bytes: if j == 3 { u32::MAX } else { at(6) as u32 },
+                    flags: (value % 256) as u8,
+                    kind,
+                };
+                let text = event.to_json_line();
+                assert_eq!(text, formatted_json_line(&event));
+                assert_eq!(TraceEvent::from_json_line(&text), Ok(event));
+                // Appending to a reused buffer renders the same bytes.
+                line.clear();
+                line.extend_from_slice(b"prefix ");
+                event.write_json_line(&mut line);
+                assert_eq!(&line[7..], text.as_bytes());
+                longest = longest.max(text.len());
+            }
+        }
+        let widest = TraceEvent {
+            cycle: u64::MAX,
+            start: u64::MAX,
+            grant: u64::MAX,
+            shard: u16::MAX,
+            seq: u32::MAX,
+            master: u16::MAX,
+            id: u64::MAX,
+            bytes: u32::MAX,
+            flags: u8::MAX,
+            kind: TraceEventKind::BridgeResponse,
+        };
+        assert_eq!(widest.to_json_line(), formatted_json_line(&widest));
+        assert_eq!(widest.to_json_line().len(), JSON_LINE_MAX);
+        assert!(longest <= JSON_LINE_MAX);
+        let zero = TraceEvent {
+            cycle: 0,
+            start: 0,
+            grant: 0,
+            shard: 0,
+            seq: 0,
+            master: 0,
+            id: 0,
+            bytes: 0,
+            flags: 0,
+            kind: TraceEventKind::Span,
+        };
+        assert_eq!(zero.to_json_line(), formatted_json_line(&zero));
     }
 
     #[test]
