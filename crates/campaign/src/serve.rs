@@ -10,10 +10,10 @@
 //! * `GET /models` → JSON array of model-kind identifiers
 //! * `GET /scenarios` → JSON array of the canonical scenario catalogue
 //! * `GET /metrics` → live service counters as Prometheus text
-//!   (requests, active/completed runs, simulated cycles, transactions,
-//!   bytes, trace events). The counters update *during* `/run`
-//!   streaming, not only at run end, so a scrape taken while a long
-//!   scenario executes sees its progress.
+//!   (requests, errors, panicked requests, active/completed runs,
+//!   simulated cycles, transactions, bytes, trace events). The
+//!   counters update *during* `/run` streaming, not only at run end, so
+//!   a scrape taken while a long scenario executes sees its progress.
 //! * `POST /run` → body `{"scenario": <ScenarioSpec>, "model": "tlm",
 //!   "stride": 5000, "trace": true}`. The `scenario` field is a
 //!   canonical [`ScenarioSpec`] object (as served by `/scenarios`);
@@ -36,14 +36,29 @@
 //! name), the optional trace events, and exactly one
 //! `{"event":"report",...}` line carrying the final
 //! cycle/transaction/byte counts, the wall time and the content
-//! hash of the executed point. Connections are drained by a bounded
-//! handler pool: when every handler is busy, accepted sockets queue on
-//! a rendezvous channel (and beyond that in the listener backlog), so a
-//! burst of requests back-pressures instead of spawning unbounded
-//! threads.
+//! hash of the executed point. The response goes out through one
+//! 64 KiB buffer, so probe lines reach the client in batches of that
+//! size rather than one write per line.
+//!
+//! A traced run's log is streamed in a single pass: each event is
+//! encoded by [`analysis::trace::TraceEvent::write_json_line`] into a
+//! reused line buffer (no allocation per event) while the same loop
+//! feeds the run's [`ProfileBuilder`] and a run-local
+//! [`LatencyHistogram`]; the histogram is added into the shared
+//! `/metrics` atomics once, after the last line went out.
+//!
+//! Connections are drained by a bounded handler pool: when every
+//! handler is busy, accepted sockets queue on a rendezvous channel (and
+//! beyond that in the listener backlog), so a burst of requests
+//! back-pressures instead of spawning unbounded threads. A panic while
+//! answering a request costs only that request: the handler catches it,
+//! answers 500 if no byte of the response has gone out yet (otherwise
+//! the stream just ends early), counts it in
+//! `campaign_requests_panicked_total` and serves the next connection.
 
 use std::io::{self, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::Mutex;
@@ -51,10 +66,10 @@ use std::time::{Duration, Instant};
 
 use ahbplus::canonical::Canonical;
 use ahbplus::simulation::{JsonLinesSnapshotSink, Simulation, SnapshotSink};
-use ahbplus::{scenario_catalogue, Probe, ScenarioSpec, Topology};
+use ahbplus::{scenario_catalogue, PlatformConfig, Probe, ScenarioSpec, Topology};
 use analysis::canon::{parse, CanonValue};
 use analysis::jsonfmt::escape_json;
-use analysis::profile::{Profile, ProfileOptions};
+use analysis::profile::{Profile, ProfileBuilder, ProfileOptions};
 use analysis::report::ModelKind;
 use analysis::trace::{LatencyHistogram, TraceEventKind, TraceLog};
 use simkern::time::CycleDelta;
@@ -71,6 +86,9 @@ const MAX_BODY_BYTES: usize = 1024 * 1024;
 const MAX_TRANSACTIONS: usize = 100_000;
 /// Per-connection socket timeout.
 const SOCKET_TIMEOUT: Duration = Duration::from_secs(10);
+/// Response buffer size: a traced run's ndjson body runs to hundreds of
+/// kilobytes, which the default 8 KiB buffer sends in as many writes.
+const RESPONSE_BUFFER_BYTES: usize = 64 * 1024;
 
 /// Live service counters, rendered as Prometheus exposition text by
 /// `GET /metrics`.
@@ -87,6 +105,8 @@ pub struct ServerMetrics {
     requests: AtomicU64,
     /// Requests answered with an HTTP error status.
     errors: AtomicU64,
+    /// Requests whose handler panicked.
+    panicked: AtomicU64,
     /// `/run` requests that started executing.
     runs_started: AtomicU64,
     /// `/run` requests that ran to completion.
@@ -118,21 +138,16 @@ impl ServerMetrics {
         counter.fetch_add(delta, Ordering::Relaxed);
     }
 
-    /// Feeds the master-visible latency of every lifecycle completion in
-    /// `log` (spans and write-buffer absorptions) into the
-    /// server-lifetime histogram.
-    fn observe_run_latencies(&self, log: &TraceLog) {
-        for event in &log.events {
-            if !matches!(event.kind, TraceEventKind::Span | TraceEventKind::Absorb) {
-                continue;
+    /// Adds one run's latency histogram into the server-lifetime one:
+    /// one atomic add per occupied bucket, not three per event.
+    fn observe_latencies(&self, run: &LatencyHistogram) {
+        for (bucket, &count) in self.latency_buckets.iter().zip(&run.buckets) {
+            if count > 0 {
+                ServerMetrics::add(bucket, count);
             }
-            let latency = event.cycle.saturating_sub(event.start);
-            let bucket = ((64 - latency.leading_zeros()).saturating_sub(1) as usize)
-                .min(self.latency_buckets.len() - 1);
-            ServerMetrics::add(&self.latency_buckets[bucket], 1);
-            ServerMetrics::add(&self.latency_count, 1);
-            ServerMetrics::add(&self.latency_sum, latency);
         }
+        ServerMetrics::add(&self.latency_count, run.count);
+        ServerMetrics::add(&self.latency_sum, run.total);
     }
 
     /// Renders the Prometheus text exposition format (version 0.0.4).
@@ -154,6 +169,11 @@ impl ServerMetrics {
             "campaign_request_errors_total",
             "Requests answered with an HTTP error.",
             &self.errors,
+        ));
+        out.push_str(&counter(
+            "campaign_requests_panicked_total",
+            "Requests whose handler panicked (answered 500 if no response had started).",
+            &self.panicked,
         ));
         out.push_str(&counter(
             "campaign_runs_started_total",
@@ -305,24 +325,79 @@ impl CampaignServer {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, metrics: &ServerMetrics) {
+fn handle_connection(stream: TcpStream, metrics: &ServerMetrics) {
     let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
     let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
     ServerMetrics::add(&metrics.requests, 1);
-    let request = match read_request(&mut stream) {
+    let mut response = ResponseStream::new(stream);
+    // The peer may hang up mid-stream; that only cancels its own run.
+    let _ = guarded(&mut response, metrics, |response| answer(response, metrics));
+    let _ = response.flush();
+}
+
+/// A response writer that remembers whether any byte has gone out, so a
+/// failed request knows whether it can still send a status line.
+struct ResponseStream<W> {
+    inner: W,
+    started: bool,
+}
+
+impl<W> ResponseStream<W> {
+    fn new(inner: W) -> Self {
+        ResponseStream {
+            inner,
+            started: false,
+        }
+    }
+}
+
+impl<W: Write> Write for ResponseStream<W> {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        let written = self.inner.write(buf)?;
+        self.started |= written > 0;
+        Ok(written)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+/// Runs `answer` so that a panic inside it costs only this request: the
+/// panic is counted, answered with a 500 when no byte of the response
+/// has gone out yet, and otherwise ends the stream where it stands.
+fn guarded<W: Write>(
+    response: &mut ResponseStream<W>,
+    metrics: &ServerMetrics,
+    answer: impl FnOnce(&mut ResponseStream<W>) -> io::Result<()>,
+) -> io::Result<()> {
+    match panic::catch_unwind(AssertUnwindSafe(|| answer(response))) {
+        Ok(outcome) => outcome,
+        Err(_) => {
+            ServerMetrics::add(&metrics.panicked, 1);
+            if response.started {
+                return Ok(());
+            }
+            ServerMetrics::add(&metrics.errors, 1);
+            respond_error(response, 500, "the request handler panicked")
+        }
+    }
+}
+
+fn answer(response: &mut ResponseStream<TcpStream>, metrics: &ServerMetrics) -> io::Result<()> {
+    let request = match read_request(&mut response.inner) {
         Ok(request) => request,
         Err(message) => {
             ServerMetrics::add(&metrics.errors, 1);
-            let _ = respond_error(&mut stream, 400, &message);
-            return;
+            return respond_error(response, 400, &message);
         }
     };
-    let outcome = match (request.method.as_str(), request.path.as_str()) {
-        ("GET", "/healthz") => respond_json(&mut stream, "{\"status\":\"ok\"}"),
+    match (request.method.as_str(), request.path.as_str()) {
+        ("GET", "/healthz") => respond_json(response, "{\"status\":\"ok\"}"),
         ("GET", "/models") => {
             let models =
                 CanonValue::Array(ModelKind::ALL.iter().map(Canonical::to_canon).collect());
-            respond_json(&mut stream, &models.to_canonical_json())
+            respond_json(response, &models.to_canonical_json())
         }
         ("GET", "/scenarios") => {
             let catalogue = CanonValue::Array(
@@ -331,24 +406,21 @@ fn handle_connection(mut stream: TcpStream, metrics: &ServerMetrics) {
                     .map(Canonical::to_canon)
                     .collect(),
             );
-            respond_json(&mut stream, &catalogue.to_canonical_json())
+            respond_json(response, &catalogue.to_canonical_json())
         }
-        ("GET", "/metrics") => respond_text(&mut stream, &metrics.render()),
+        ("GET", "/metrics") => respond_text(response, &metrics.render()),
         ("POST", "/run") => match RunRequest::parse(&request.body) {
-            Ok(run) => stream_run(&mut stream, &run, metrics),
+            Ok(run) => stream_run(response, &run, metrics),
             Err(message) => {
                 ServerMetrics::add(&metrics.errors, 1);
-                respond_error(&mut stream, 400, &message)
+                respond_error(response, 400, &message)
             }
         },
         _ => {
             ServerMetrics::add(&metrics.errors, 1);
-            respond_error(&mut stream, 404, "no such endpoint")
+            respond_error(response, 404, "no such endpoint")
         }
-    };
-    // The peer may hang up mid-stream; that only cancels its own run.
-    let _ = outcome;
-    let _ = stream.flush();
+    }
 }
 
 struct Request {
@@ -415,7 +487,7 @@ fn find_head_end(buffer: &[u8]) -> Option<usize> {
     buffer.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-fn respond_json(stream: &mut TcpStream, body: &str) -> io::Result<()> {
+fn respond_json(stream: &mut impl Write, body: &str) -> io::Result<()> {
     write!(
         stream,
         "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
@@ -424,7 +496,7 @@ fn respond_json(stream: &mut TcpStream, body: &str) -> io::Result<()> {
     )
 }
 
-fn respond_text(stream: &mut TcpStream, body: &str) -> io::Result<()> {
+fn respond_text(stream: &mut impl Write, body: &str) -> io::Result<()> {
     write!(
         stream,
         "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4\r\n\
@@ -433,10 +505,11 @@ fn respond_text(stream: &mut TcpStream, body: &str) -> io::Result<()> {
     )
 }
 
-fn respond_error(stream: &mut TcpStream, status: u16, message: &str) -> io::Result<()> {
+fn respond_error(stream: &mut impl Write, status: u16, message: &str) -> io::Result<()> {
     let reason = match status {
         400 => "Bad Request",
         404 => "Not Found",
+        500 => "Internal Server Error",
         _ => "Error",
     };
     let body = format!("{{\"error\":\"{}\"}}", escape_json(message));
@@ -452,6 +525,7 @@ fn respond_error(stream: &mut TcpStream, status: u16, message: &str) -> io::Resu
 #[derive(Debug)]
 struct RunRequest {
     spec: ScenarioSpec,
+    config: PlatformConfig,
     backend: RunBackend,
     stride: u64,
     trace: bool,
@@ -495,9 +569,10 @@ impl RunRequest {
         };
         // Resolve *before* answering 200, so an unknown pattern or a bad
         // master subset is a clean 400 instead of a truncated stream.
-        spec.resolve().map_err(|e| format!("scenario: {e}"))?;
+        let config = spec.resolve().map_err(|e| format!("scenario: {e}"))?;
         Ok(RunRequest {
             spec,
+            config,
             backend,
             stride,
             trace,
@@ -550,14 +625,14 @@ impl<S: SnapshotSink> SnapshotSink for MeteredSink<'_, S> {
     }
 }
 
-fn stream_run(stream: &mut TcpStream, run: &RunRequest, metrics: &ServerMetrics) -> io::Result<()> {
-    let config = run
-        .spec
-        .resolve()
-        .expect("request validation already resolved the spec");
+fn stream_run(
+    stream: &mut impl Write,
+    run: &RunRequest,
+    metrics: &ServerMetrics,
+) -> io::Result<()> {
     let mut model: Box<dyn analysis::BusModel> = match &run.backend {
-        RunBackend::Kind(kind) => config.build_model(*kind),
-        RunBackend::Topology(topology) => Box::new(config.build_topology(topology.clone())),
+        RunBackend::Kind(kind) => run.config.build_model(*kind),
+        RunBackend::Topology(topology) => Box::new(run.config.build_topology(topology.clone())),
     };
     if run.trace {
         model.set_tracing(true);
@@ -565,12 +640,11 @@ fn stream_run(stream: &mut TcpStream, run: &RunRequest, metrics: &ServerMetrics)
     ServerMetrics::add(&metrics.runs_started, 1);
     ServerMetrics::add(&metrics.runs_active, 1);
     let active = ActiveRun(&metrics.runs_active);
-    write!(
-        stream,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
-         Connection: close\r\n\r\n"
+    let mut writer = BufWriter::with_capacity(RESPONSE_BUFFER_BYTES, stream);
+    writer.write_all(
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+          Connection: close\r\n\r\n",
     )?;
-    let mut writer = BufWriter::new(stream);
     let start = Instant::now();
     let (report, seen, trace) = if run.stride > 0 {
         let mut lines = JsonLinesSnapshotSink::new(&mut writer);
@@ -599,26 +673,20 @@ fn stream_run(stream: &mut TcpStream, run: &RunRequest, metrics: &ServerMetrics)
         &metrics.bytes,
         report.total_bytes().saturating_sub(seen.bytes),
     );
-    let trace_events = trace.as_ref().map_or(0, |log| log.events.len());
-    let mut profile_summary = None;
-    if let Some(log) = &trace {
-        ServerMetrics::add(&metrics.trace_events, trace_events as u64);
-        metrics.observe_run_latencies(log);
-        profile_summary = Some(Profile::from_log(log, ProfileOptions::default()).summary_json());
-        for event in &log.events {
-            // Each event line is the compact JSON-lines record with the
-            // ndjson discriminator spliced in front of its first field.
-            let line = event.to_json_line();
-            writeln!(writer, "{{\"event\": \"trace\", {}", &line[1..])?;
-        }
+    let mut traced = String::new();
+    if run.trace {
+        let (events, profile) = match &trace {
+            Some(log) => {
+                ServerMetrics::add(&metrics.trace_events, log.events.len() as u64);
+                let (profile, latencies) = stream_trace(&mut writer, log)?;
+                metrics.observe_latencies(&latencies);
+                (log.events.len(), profile.summary_json())
+            }
+            None => (0, "null".to_owned()),
+        };
+        traced = format!(", \"trace_events\": {events}, \"profile\": {profile}");
     }
     let wall_micros = start.elapsed().as_micros().max(1) as u64;
-    let traced = if run.trace {
-        let profile = profile_summary.unwrap_or_else(|| "null".to_owned());
-        format!(", \"trace_events\": {trace_events}, \"profile\": {profile}")
-    } else {
-        String::new()
-    };
     writeln!(
         writer,
         "{{\"event\": \"report\", \"scenario\": \"{}\", \"model\": \"{}\", \
@@ -635,6 +703,32 @@ fn stream_run(stream: &mut TcpStream, run: &RunRequest, metrics: &ServerMetrics)
     ServerMetrics::add(&metrics.runs_completed, 1);
     drop(active);
     Ok(())
+}
+
+/// Streams every event of `log` as a `{"event": "trace", ...}` line —
+/// the compact JSON-lines record with the ndjson discriminator spliced
+/// in front of its first field — in one pass that also builds the run's
+/// profile and the histogram of its master-visible latencies (spans and
+/// write-buffer absorptions).
+fn stream_trace(
+    writer: &mut impl Write,
+    log: &TraceLog,
+) -> io::Result<(Profile, LatencyHistogram)> {
+    let mut profile = ProfileBuilder::new(ProfileOptions::default());
+    let mut latencies = LatencyHistogram::default();
+    let mut line = Vec::new();
+    for event in &log.events {
+        profile.add(event);
+        if matches!(event.kind, TraceEventKind::Span | TraceEventKind::Absorb) {
+            latencies.record(event.latency());
+        }
+        line.clear();
+        event.write_json_line(&mut line);
+        writer.write_all(b"{\"event\": \"trace\", ")?;
+        writer.write_all(&line[1..])?;
+        writer.write_all(b"\n")?;
+    }
+    Ok((profile.finish(), latencies))
 }
 
 #[cfg(test)]
@@ -730,7 +824,8 @@ mod tests {
         tracer.span(0, 2, 0, 2, 3, 8, 0); // latency 3 -> bucket 1
         tracer.span(0, 3, 100, 200, 1000, 8, 0); // latency 900 -> bucket 9
         tracer.drain(0, 4, 0, 5000); // drains are not master-visible
-        metrics.observe_run_latencies(&tracer.take());
+        let (_, latencies) = stream_trace(&mut io::sink(), &tracer.take()).unwrap();
+        metrics.observe_latencies(&latencies);
         let text = metrics.render();
         assert!(
             text.contains("# TYPE campaign_run_latency_cycles histogram"),
@@ -761,6 +856,53 @@ mod tests {
             text.contains("campaign_run_latency_cycles_count 3"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_500_is_counted_and_survives() {
+        let metrics = ServerMetrics::default();
+        // One handler thread answers two requests in turn, as `serve`
+        // does: the panic in the first must leave it alive for the second.
+        let (first, second) = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let mut first = ResponseStream::new(Vec::new());
+                    guarded(&mut first, &metrics, |_| panic!("injected handler panic"))
+                        .expect("the 500 is written");
+                    let mut second = ResponseStream::new(Vec::new());
+                    guarded(&mut second, &metrics, |out| respond_json(out, "{}"))
+                        .expect("the next request is answered");
+                    (first.inner, second.inner)
+                })
+                .join()
+                .expect("the handler thread survives the panic")
+        });
+        let first = String::from_utf8(first).unwrap();
+        assert!(first.starts_with("HTTP/1.1 500"), "{first}");
+        assert!(first.contains("panicked"), "{first}");
+        assert!(String::from_utf8(second)
+            .unwrap()
+            .starts_with("HTTP/1.1 200"));
+
+        // Once a status line is out, a panic only ends the stream.
+        let mut streamed = ResponseStream::new(Vec::new());
+        guarded(&mut streamed, &metrics, |out| {
+            out.write_all(b"HTTP/1.1 200 OK\r\n\r\npartial")?;
+            panic!("injected mid-stream panic")
+        })
+        .expect("nothing more is written");
+        assert_eq!(streamed.inner, b"HTTP/1.1 200 OK\r\n\r\npartial");
+
+        let text = metrics.render();
+        assert!(
+            text.contains("# TYPE campaign_requests_panicked_total counter"),
+            "{text}"
+        );
+        assert!(
+            text.contains("campaign_requests_panicked_total 2"),
+            "{text}"
+        );
+        assert!(text.contains("campaign_request_errors_total 1"), "{text}");
     }
 
     #[test]

@@ -284,6 +284,80 @@ fn serve_mode_answers_over_loopback() {
     handle.join().unwrap().expect("serve loop exits cleanly");
 }
 
+/// A traced `/run` streams exactly the in-process trace: every served
+/// trace line is the event's JSON-lines record behind the ndjson
+/// discriminator, in log order, for a flat and a sharded model; the
+/// report's profile is the in-process profile summary; and `/metrics`
+/// counts one latency sample per span and absorbed write.
+#[test]
+fn traced_runs_stream_the_in_process_trace_profile_and_latencies() {
+    use ahbplus::{BusModel, Canonical};
+    use analysis::profile::{Profile, ProfileOptions};
+    use analysis::trace::TraceEventKind;
+    let server = CampaignServer::bind("127.0.0.1:0").expect("ephemeral port binds");
+    let addr = server.local_addr().unwrap();
+    let handle = std::thread::spawn(move || server.serve(1, Some(3)));
+    let spec = scenario("table1-a").unwrap().with_transactions(12);
+    let config = spec.resolve().unwrap();
+    let mut completions = 0;
+    for kind in [ModelKind::TransactionLevel, ModelKind::ShardedTlmReads] {
+        let mut model: Box<dyn BusModel> = config.build_model(kind);
+        model.set_tracing(true);
+        model.run();
+        let log = model.take_trace().expect("every backend traces");
+        let body = format!(
+            "{{\"scenario\": {}, \"model\": \"{}\", \"trace\": true}}",
+            spec.to_canon().to_canonical_json(),
+            kind.id()
+        );
+        let run = http_roundtrip(
+            &addr,
+            &format!(
+                "POST /run HTTP/1.1\r\nHost: x\r\nContent-Length: {}\r\n\r\n{body}",
+                body.len()
+            ),
+        );
+        assert!(run.starts_with("HTTP/1.1 200"), "{run}");
+        let served: Vec<&str> = run
+            .lines()
+            .filter(|line| line.starts_with("{\"event\": \"trace\""))
+            .collect();
+        let expected: Vec<String> = log
+            .events
+            .iter()
+            .map(|event| format!("{{\"event\": \"trace\", {}", &event.to_json_line()[1..]))
+            .collect();
+        assert!(!expected.is_empty(), "{} traced nothing", kind.id());
+        assert_eq!(served, expected, "{} trace lines", kind.id());
+        let report = run
+            .lines()
+            .find(|line| line.starts_with("{\"event\": \"report\""))
+            .expect("stream ends with a report line");
+        let profile = Profile::from_log(&log, ProfileOptions::default()).summary_json();
+        assert!(
+            report.ends_with(&format!(
+                "\"trace_events\": {}, \"profile\": {profile}}}",
+                expected.len()
+            )),
+            "{} report: {report}",
+            kind.id()
+        );
+        completions += log
+            .events
+            .iter()
+            .filter(|e| matches!(e.kind, TraceEventKind::Span | TraceEventKind::Absorb))
+            .count();
+    }
+    let metrics = http_roundtrip(&addr, "GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert!(
+        metrics.contains(&format!(
+            "\ncampaign_run_latency_cycles_count {completions}\n"
+        )),
+        "{metrics}"
+    );
+    handle.join().unwrap().expect("serve loop exits cleanly");
+}
+
 /// The observability surface of serve mode: a traced `/run` streams its
 /// transaction-lifecycle events, and `GET /metrics` answers Prometheus
 /// text whose run counters are live — a scrape taken while a scenario
