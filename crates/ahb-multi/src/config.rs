@@ -82,17 +82,12 @@ pub struct MultiConfig {
     /// crossing latency (the largest causally safe value); an explicit
     /// quantum is clamped into `[1, min_crossing_latency]`.
     pub quantum: Option<u64>,
-    /// Execute shards on worker threads (`true`) or in-line on the
-    /// calling thread (`false`). Both modes run the identical barrier and
-    /// exchange schedule and produce probe-identical results; threading
-    /// only changes wall-clock time.
+    /// Always `false`; nothing in the library reads it. It survives only
+    /// because perfbench prints it in its `scheduler` metadata
+    /// (`perfbench/src/sim.rs`), and goes with the next change to the
+    /// benchmark. Shards always run one after another on the calling
+    /// thread.
     pub threaded: bool,
-    /// Threaded-mode barrier choice: `Some(true)` forces the spin
-    /// barrier, `Some(false)` the blocking `std::sync::Barrier`, `None`
-    /// picks by host core count (spin on > 2 cores — see
-    /// [`crate::sync::default_spin_sync`]). Purely a wall-clock knob:
-    /// both barriers run the identical exchange schedule.
-    pub spin_sync: Option<bool>,
     /// Adaptive lookahead: when `true` the scheduler stretches the
     /// quantum past the fixed value whenever every shard proves (via its
     /// `next_possible_crossing` bound) that no crossing can be issued
@@ -127,7 +122,6 @@ impl MultiConfig {
             max_cycles: 5_000_000,
             quantum: None,
             threaded: false,
-            spin_sync: None,
             lookahead: false,
             max_stretch: None,
         }
@@ -169,23 +163,6 @@ impl MultiConfig {
         self
     }
 
-    /// Returns a copy running shards on worker threads (or not).
-    #[must_use]
-    pub fn with_threaded(mut self, threaded: bool) -> Self {
-        self.threaded = threaded;
-        self
-    }
-
-    /// Returns a copy forcing the threaded scheduler's barrier choice:
-    /// `true` spins at the quantum barrier (fastest on dedicated cores),
-    /// `false` parks in the kernel. Without this call the platform picks
-    /// by host core count.
-    #[must_use]
-    pub fn with_spin_sync(mut self, spin_sync: bool) -> Self {
-        self.spin_sync = Some(spin_sync);
-        self
-    }
-
     /// Returns a copy with adaptive lookahead enabled (or disabled).
     #[must_use]
     pub fn with_lookahead(mut self, lookahead: bool) -> Self {
@@ -214,12 +191,13 @@ impl MultiConfig {
             .clamp(1, min_latency.max(1))
     }
 
-    /// Whether a threaded advance spins at the barrier: the explicit
-    /// choice, or the host-core-count default.
+    /// Always `false`: there is no barrier to spin at. It survives only
+    /// because perfbench prints it in its `scheduler` metadata
+    /// (`perfbench/src/sim.rs`), and goes with the next change to the
+    /// benchmark.
     #[must_use]
     pub fn effective_spin_sync(&self) -> bool {
-        self.spin_sync
-            .unwrap_or_else(crate::sync::default_spin_sync)
+        false
     }
 
     /// The effective per-barrier stretch bound: the explicit override, or
@@ -269,8 +247,6 @@ mod tests {
     fn builders_replace_fields() {
         let config = MultiConfig::new(ShardBackendKind::Lt)
             .with_max_cycles(77)
-            .with_threaded(true)
-            .with_spin_sync(false)
             .with_bridge(BridgeConfig {
                 crossing_latency: 32,
                 fifo_depth: 4,
@@ -282,8 +258,6 @@ mod tests {
             vec![ShardBackendKind::Lt, ShardBackendKind::Lt]
         );
         assert_eq!(config.max_cycles, 77);
-        assert!(config.threaded);
-        assert!(!config.effective_spin_sync());
         assert_eq!(config.effective_quantum(2), 32);
     }
 

@@ -3,18 +3,20 @@
 //!
 //! Two statements are asserted over randomly sampled platform shapes:
 //!
-//! 1. the full merged stream (lifecycle + scheduler events) is
-//!    byte-identical across the three scheduler execution modes —
-//!    single-threaded, threaded with blocking sync, threaded with spin
-//!    sync — because all three run the identical barrier schedule;
+//! 1. the full merged stream (lifecycle + scheduler events) of a run
+//!    driven in small bounded steps is byte-identical to a one-shot run,
+//!    because the barrier schedule lives in platform state, not in the
+//!    driver;
 //! 2. the *lifecycle* stream (scheduler events filtered out) is
-//!    byte-identical between the fixed-quantum and adaptive-lookahead
-//!    schedules, because a lookahead stretch changes when shards
-//!    synchronize, never what they simulate.
+//!    non-empty and byte-identical between the fixed-quantum and
+//!    adaptive-lookahead schedules, because a lookahead stretch changes
+//!    when shards synchronize, never what they simulate.
 
 use ahb_multi::{MultiConfig, MultiSystem, ShardBackendKind};
+use analysis::model::BusModel;
 use analysis::trace::TraceLog;
 use proptest::prelude::*;
+use simkern::time::CycleDelta;
 use traffic::{pattern_shards, ShardMix};
 
 /// One sampled platform shape.
@@ -28,11 +30,9 @@ struct Shape {
     seed: u64,
 }
 
-fn build(shape: Shape, threaded: bool, spin: bool, lookahead: bool) -> MultiSystem {
+fn build(shape: Shape, lookahead: bool) -> MultiSystem {
     let config = MultiConfig::new(shape.backend)
         .with_max_cycles(500_000)
-        .with_threaded(threaded)
-        .with_spin_sync(spin)
         .with_lookahead(lookahead);
     MultiSystem::from_shard_patterns(
         &config,
@@ -82,29 +82,38 @@ fn shape_strategy() -> impl Strategy<Value = Shape> {
     })
 }
 
+/// [`traced`], but driven to completion in `step`-cycle increments.
+fn traced_in_steps(mut system: MultiSystem, step: u64) -> TraceLog {
+    system.set_tracing(true);
+    while !BusModel::finished(&system) {
+        system.step(CycleDelta::new(step));
+    }
+    system.take_trace_log()
+}
+
 proptest! {
     #[test]
-    fn merged_streams_are_byte_identical_across_scheduler_modes(
+    fn merged_streams_are_byte_identical_under_bounded_stepping(
         shape in shape_strategy(),
         lookahead in prop_oneof![Just(false), Just(true)],
+        step in prop_oneof![Just(1u64), Just(50u64), Just(500u64)],
     ) {
-        let single = traced(build(shape, false, false, lookahead)).to_json_lines();
-        let threaded = traced(build(shape, true, false, lookahead)).to_json_lines();
-        let spin = traced(build(shape, true, true, lookahead)).to_json_lines();
-        prop_assert!(!single.is_empty(), "traced run produced no events: {shape:?}");
-        prop_assert_eq!(&single, &threaded, "threaded mode diverged: {:?}", shape);
-        prop_assert_eq!(&single, &spin, "spin mode diverged: {:?}", shape);
+        let one_shot = traced(build(shape, lookahead)).to_json_lines();
+        let stepped = traced_in_steps(build(shape, lookahead), step).to_json_lines();
+        prop_assert!(!one_shot.is_empty(), "traced run produced no events: {shape:?}");
+        prop_assert_eq!(one_shot, stepped, "bounded stepping diverged: {:?}", shape);
     }
 
     #[test]
     fn lifecycle_streams_are_identical_across_fixed_and_lookahead_quanta(
         shape in shape_strategy(),
     ) {
-        let fixed = traced(build(shape, false, false, false));
-        let stretched = traced(build(shape, false, false, true));
+        let fixed = lifecycle_lines(&traced(build(shape, false)));
+        let stretched = lifecycle_lines(&traced(build(shape, true)));
+        prop_assert!(!fixed.is_empty(), "traced run produced no events: {shape:?}");
         prop_assert_eq!(
-            lifecycle_lines(&fixed),
-            lifecycle_lines(&stretched),
+            fixed,
+            stretched,
             "lookahead changed simulated behaviour: {:?}",
             shape
         );

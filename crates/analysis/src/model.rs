@@ -181,13 +181,6 @@ pub struct SyncStats {
     /// Mean simulated cycles advanced per barrier (final barrier clock
     /// over `barriers`); the fixed quantum when no stretch ever fired.
     pub mean_quantum: f64,
-    /// Whether the run used the threaded scheduler (one worker per
-    /// shard) rather than the single-threaded reference schedule.
-    pub threaded: bool,
-    /// Whether a threaded run would wait at the spin barrier rather than
-    /// the blocking one (the effective choice, after the core-count
-    /// default).
-    pub spin_sync: bool,
 }
 
 /// A bus-architecture model that can be driven by the run-control facade.

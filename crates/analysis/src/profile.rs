@@ -325,10 +325,19 @@ impl UtilizationWindow {
     }
 }
 
+/// Most windows a utilization timeline holds. A trace reaching past
+/// `window × MAX_TIMELINE_WINDOWS` cycles widens the window (doubling it
+/// and folding adjacent pairs) instead of growing the timeline, so the
+/// profile's memory does not depend on how large the trace's cycle
+/// stamps are.
+pub const MAX_TIMELINE_WINDOWS: usize = 1 << 16;
+
 /// Tuning knobs of a profile build.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfileOptions {
-    /// Utilization-timeline window length in cycles.
+    /// Utilization-timeline window length in cycles (0 counts as 1). The
+    /// finished [`Profile`] reports the effective length, which is wider
+    /// when the trace spans more than [`MAX_TIMELINE_WINDOWS`] windows.
     pub window: u64,
     /// How many slowest transactions to keep with full breakdowns.
     pub top_k: usize,
@@ -387,7 +396,7 @@ impl Groups {
 /// timeline are indexed by id and window number, and the pairing state
 /// (absorbed writes awaiting their drain, crossings awaiting their next
 /// leg) lives in ordered maps that hold only what is in flight.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct ProfileBuilder {
     options: ProfileOptions,
     masters: Groups,
@@ -404,6 +413,12 @@ pub struct ProfileBuilder {
     responded: BTreeSet<(u16, u64)>,
     /// Busy cycles per timeline window index.
     busy: Vec<u64>,
+    /// Effective timeline window length: the configured one, doubled
+    /// as often as the largest cycle seen needs.
+    window: u64,
+    /// `window × MAX_TIMELINE_WINDOWS` (saturating): the first cycle the
+    /// timeline cannot hold without widening.
+    timeline_end: u64,
     slowest: Vec<TxnBreakdown>,
     max_cycle: u64,
     events: u64,
@@ -414,27 +429,60 @@ impl ProfileBuilder {
     /// A builder with the given options.
     #[must_use]
     pub fn new(options: ProfileOptions) -> ProfileBuilder {
+        let window = options.window.max(1);
         ProfileBuilder {
             options,
-            ..ProfileBuilder::default()
+            masters: Groups::default(),
+            shards: Groups::default(),
+            overall: GroupSamples::default(),
+            absorbed_at: BTreeMap::new(),
+            egress_at: BTreeMap::new(),
+            responded: BTreeSet::new(),
+            busy: Vec::new(),
+            window,
+            timeline_end: window.saturating_mul(MAX_TIMELINE_WINDOWS as u64),
+            slowest: Vec::new(),
+            max_cycle: 0,
+            events: 0,
+            scheduler_events: 0,
         }
     }
 
+    /// Doubles the window, folding adjacent windows, until `cycle` falls
+    /// inside the last timeline window.
+    fn widen_to(&mut self, cycle: u64) {
+        while cycle / self.window >= MAX_TIMELINE_WINDOWS as u64 {
+            // `cycle / window ≥ 2^16` keeps `window` below 2^48, so the
+            // doubling cannot overflow.
+            self.window *= 2;
+            let pairs = self.busy.len().div_ceil(2);
+            for index in 0..pairs {
+                let high = self.busy.get(2 * index + 1).copied().unwrap_or(0);
+                self.busy[index] = self.busy[2 * index].saturating_add(high);
+            }
+            self.busy.truncate(pairs);
+        }
+        self.timeline_end = self.window.saturating_mul(MAX_TIMELINE_WINDOWS as u64);
+    }
+
+    /// Adds `[from, to)` to the timeline; `to` never lies past the
+    /// largest cycle seen, so every window it touches exists.
     fn add_busy(&mut self, from: u64, to: u64) {
-        if to <= from || self.options.window == 0 {
+        if to <= from {
             return;
         }
-        let window = self.options.window;
-        let last = usize::try_from((to - 1) / window).expect("timeline window index fits usize");
+        let window = self.window;
+        let last = ((to - 1) / window) as usize;
         if last >= self.busy.len() {
             self.busy.resize(last + 1, 0);
         }
         let mut cursor = from;
         while cursor < to {
             let index = cursor / window;
-            let window_end = (index + 1) * window;
+            let window_end = (index + 1).saturating_mul(window);
             let slice_end = to.min(window_end);
-            self.busy[index as usize] += slice_end - cursor;
+            let busy = &mut self.busy[index as usize];
+            *busy = busy.saturating_add(slice_end - cursor);
             cursor = slice_end;
         }
     }
@@ -468,6 +516,9 @@ impl ProfileBuilder {
     pub fn add(&mut self, event: &TraceEvent) {
         self.events += 1;
         self.max_cycle = self.max_cycle.max(event.cycle);
+        if event.cycle >= self.timeline_end {
+            self.widen_to(event.cycle);
+        }
         let key = (event.master, event.id);
         match event.kind {
             TraceEventKind::Span => {
@@ -565,7 +616,7 @@ impl ProfileBuilder {
         let shards = self.shards.finish(Some(SCHEDULER_SHARD));
         let overall = GroupProfile::from_samples(0, &mut self.overall);
         let shard_count = shards.len().max(1) as u64;
-        let window = self.options.window.max(1);
+        let window = self.window;
         let windows = if self.max_cycle == 0 && self.busy.is_empty() {
             0
         } else {
@@ -575,11 +626,14 @@ impl ProfileBuilder {
             .map(|index| UtilizationWindow {
                 start: index * window,
                 busy: self.busy.get(index as usize).copied().unwrap_or(0),
-                capacity: window * shard_count,
+                capacity: window.saturating_mul(shard_count),
             })
             .collect();
         Profile {
-            options: self.options,
+            options: ProfileOptions {
+                window,
+                ..self.options
+            },
             masters,
             shards,
             overall,
@@ -1170,6 +1224,33 @@ mod tests {
         assert_eq!(profile.overall.count, 2);
         assert_eq!((c.arb_wait, c.ddr_row_miss), (9, 0));
         assert_eq!(profile.overall.percentiles.max, 4);
+    }
+
+    #[test]
+    fn far_cycle_stamps_widen_the_timeline_instead_of_growing_it() {
+        for far in [18_446_744_073_709_551_000u64, 100_000_000_000] {
+            for grant in [far - 5, 0] {
+                let mut tracer = Tracer::disabled();
+                tracer.set_enabled(true);
+                tracer.span(0, 1, 0, 10, 30, 8, 0);
+                tracer.span(0, 2, 0, grant, far, 8, 0);
+                let profile = Profile::from_log(&tracer.take(), ProfileOptions::default());
+                let timeline = &profile.timeline;
+                assert!(
+                    timeline.len() <= MAX_TIMELINE_WINDOWS,
+                    "{far}: {}",
+                    timeline.len()
+                );
+                let window = profile.options.window;
+                assert!(window > ProfileOptions::default().window);
+                assert_eq!(window % ProfileOptions::default().window, 0);
+                let last = timeline.last().expect("non-empty timeline");
+                assert!(last.start <= far && far - last.start < window);
+                // Folding keeps every busy cycle.
+                let busy: u64 = timeline.iter().map(|w| w.busy).sum();
+                assert_eq!(busy, 20 + (far - grant), "{far}/{grant}");
+            }
+        }
     }
 
     #[test]

@@ -116,8 +116,7 @@ pub struct SpeedBenchRecord {
     pub transactions_per_master: usize,
     /// Workload seed.
     pub seed: u64,
-    /// Logical cores of the measuring host (`available_parallelism`),
-    /// which decides the sharded rows' scheduler mode.
+    /// Logical cores of the measuring host (`available_parallelism`).
     pub host_cores: usize,
     /// One entry per measured model configuration.
     pub models: Vec<ModelMeasurement>,
@@ -177,14 +176,15 @@ impl SpeedBenchRecord {
     /// Serializes the record as a self-contained JSON object (no external
     /// serializer available in this build environment; the format is flat
     /// and stable on purpose). Every v1 key is preserved; v2 adds the
-    /// per-model `models` array.
+    /// per-model `models` array; v3 drops the sharded rows'
+    /// `threaded`/`spin_sync` keys (there is one schedule).
     #[must_use]
     pub fn to_json(&self) -> String {
         let cycles_of = |name: &str| self.model(name).map(|m| m.cycles);
         let json_u64 =
             |value: Option<u64>| value.map_or_else(|| "null".to_owned(), |v| v.to_string());
         let mut out = String::from("{\n");
-        let _ = writeln!(out, "  \"schema\": \"ahbplus-bench-speed/v2\",");
+        let _ = writeln!(out, "  \"schema\": \"ahbplus-bench-speed/v3\",");
         let _ = writeln!(out, "  \"workload\": \"{}\",", escape_json(&self.workload));
         let _ = writeln!(
             out,
@@ -226,13 +226,11 @@ impl SpeedBenchRecord {
             };
             let sync = model.sync.map_or_else(String::new, |s| {
                 format!(
-                    ", \"sync_barriers\": {}, \"sync_stretched\": {}, \"sync_cycles_gained\": {}, \"mean_quantum\": {}, \"threaded\": {}, \"spin_sync\": {}",
+                    ", \"sync_barriers\": {}, \"sync_stretched\": {}, \"sync_cycles_gained\": {}, \"mean_quantum\": {}",
                     s.barriers,
                     s.stretched,
                     s.cycles_gained,
-                    json_f64(s.mean_quantum),
-                    s.threaded,
-                    s.spin_sync
+                    json_f64(s.mean_quantum)
                 )
             });
             let trace = model.trace_overhead_pct.map_or_else(String::new, |pct| {
@@ -371,8 +369,6 @@ mod tests {
             stretched: 25,
             cycles_gained: 12_000,
             mean_quantum: 400.0,
-            threaded: true,
-            spin_sync: false,
         });
         let record = record(vec![
             measurement(model_names::TLM, 50_000, 1_000.0),
@@ -380,13 +376,13 @@ mod tests {
         ]);
         let json = record.to_json();
         // Single-bus lines are unchanged; sharded lines append the
-        // scheduler counters and mode after the throughput.
+        // scheduler counters after the throughput, and nothing else.
         assert!(json.contains("{\"name\": \"tlm\", \"cycles\": 50000, \"kcycles_per_sec\": 1000}"));
         assert!(json.contains(
             "\"kcycles_per_sec\": 5000, \"sync_barriers\": 100, \"sync_stretched\": 25, \
-             \"sync_cycles_gained\": 12000, \"mean_quantum\": 400, \"threaded\": true, \
-             \"spin_sync\": false}"
+             \"sync_cycles_gained\": 12000, \"mean_quantum\": 400}"
         ));
+        assert!(!json.contains("threaded") && !json.contains("spin_sync"));
     }
 
     #[test]
@@ -405,7 +401,7 @@ mod tests {
             ],
         };
         let json = record.to_json();
-        assert!(json.contains("\"schema\": \"ahbplus-bench-speed/v2\""));
+        assert!(json.contains("\"schema\": \"ahbplus-bench-speed/v3\""));
         assert!(json.contains("\"workload\": \"pattern_a\""));
         assert!(json.contains("\"host_cores\": 4,"));
         // Every v1 flat key is still emitted, derived from the model list.

@@ -5,8 +5,11 @@
 //! Model names come from the models themselves (`BusModel::model_name`
 //! plus a variant suffix), so a backend registered in
 //! `ahbplus::speed::standard_models` appears here — and in the emitted
-//! `BENCH_speed.json` (schema `ahbplus-bench-speed/v2`, v1-compatible
-//! keys preserved) — without harness edits.
+//! `BENCH_speed.json` (schema `ahbplus-bench-speed/v3`, v1-compatible
+//! keys preserved) — without harness edits. Sharded rows carry a `sync`
+//! block (`sync_barriers`, `sync_stretched`, `sync_cycles_gained`,
+//! `mean_quantum`); v3 dropped its `threaded`/`spin_sync` keys because
+//! every sharded platform runs one single-threaded schedule.
 //!
 //! ```text
 //! cargo run --release -p ahbplus-bench --bin table2_speed \

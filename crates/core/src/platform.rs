@@ -156,12 +156,11 @@ impl PlatformConfig {
 
     /// Builds the multi-bus system: the pattern's masters are partitioned
     /// round-robin over [`PlatformConfig::DEFAULT_SHARDS`] shards of the
-    /// given backend, connected by AHB-to-AHB bridges (single-threaded
-    /// deterministic mode — the reference the threaded mode is verified
-    /// against). The same workload expansion runs on the same master ids,
-    /// so the sharded platform completes exactly the work of the
-    /// single-bus platform; masters whose regions decode to the other
-    /// shard's windows generate genuine bridge traffic.
+    /// given backend, connected by AHB-to-AHB bridges. The same workload
+    /// expansion runs on the same master ids, so the sharded platform
+    /// completes exactly the work of the single-bus platform; masters
+    /// whose regions decode to the other shard's windows generate genuine
+    /// bridge traffic.
     #[must_use]
     pub fn build_sharded(&self, backend: ShardBackendKind) -> MultiSystem {
         self.build_topology(Topology::uniform(backend))
@@ -183,7 +182,7 @@ impl PlatformConfig {
     /// The multi-bus configuration derived from this platform for the
     /// given topology (this platform's bus parameters, DDR device and
     /// cycle limit). Callers that need a non-default execution policy —
-    /// threading, an explicit quantum, adaptive lookahead — adjust the
+    /// an explicit quantum, adaptive lookahead — adjust the
     /// returned value with the [`MultiConfig`] builders and hand it to
     /// [`PlatformConfig::build_multi`].
     #[must_use]

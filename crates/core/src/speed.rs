@@ -97,7 +97,7 @@ impl ModelSpec {
 /// the skewed window map (`sharded-skew`).
 #[must_use]
 pub fn standard_models() -> Vec<ModelSpec> {
-    use ahb_multi::{MultiConfig, MultiSystem, ShardBackendKind, Topology};
+    use ahb_multi::{MultiSystem, ShardBackendKind, Topology};
     use traffic::{pattern_shards, ShardMix};
 
     let scaled = |masters: usize| {
@@ -110,74 +110,19 @@ pub fn standard_models() -> Vec<ModelSpec> {
             ))
         }
     };
-    // Threading only changes wall-clock time (results are verified
-    // probe-identical), so every measured sharded configuration uses
-    // worker threads exactly when the host has cores for them.
-    let threaded = std::thread::available_parallelism().is_ok_and(|p| p.get() > 1);
-    // The default 2-shard partition of the speed workload — what
-    // `PlatformConfig::build_sharded` builds, but with the measurement
-    // threading policy applied.
-    let partitioned = |backend: ShardBackendKind, threaded: bool| {
+    // Inherit the speed scenario's bus and DRAM parameters like every
+    // other spec, so the sharded rows stay comparable to the flat-bus
+    // rows if the scenario ever departs from the defaults.
+    let sharded = |backend: ShardBackendKind,
+                   shards: usize,
+                   masters: usize,
+                   mix: ShardMix,
+                   lookahead: bool| {
         move |config: &PlatformConfig| -> Box<dyn BusModel> {
-            let multi = MultiConfig::new(backend)
-                .with_params(config.params.clone())
-                .with_ddr(config.ddr)
-                .with_max_cycles(config.max_cycles)
-                .with_threaded(threaded);
-            let parts =
-                ahb_multi::partition_round_robin(&config.pattern, PlatformConfig::DEFAULT_SHARDS);
             Box::new(MultiSystem::from_shard_patterns(
-                &multi,
-                &parts,
-                config.transactions_per_master,
-                config.seed,
-            ))
-        }
-    };
-    // A topology configuration (what `PlatformConfig::build_topology`
-    // builds), with the measurement threading policy applied. `patterns`
-    // overrides the per-shard workloads; `None` partitions the speed
-    // workload round-robin over the topology's shard count.
-    let topology_spec =
-        move |topology: Topology, patterns: Option<Vec<traffic::TrafficPattern>>| {
-            move |config: &PlatformConfig| -> Box<dyn BusModel> {
-                let shards = topology
-                    .shard_count()
-                    .unwrap_or(PlatformConfig::DEFAULT_SHARDS);
-                let parts = patterns
-                    .clone()
-                    .unwrap_or_else(|| ahb_multi::partition_round_robin(&config.pattern, shards));
-                let multi = MultiConfig::from_topology(topology.clone())
-                    .with_params(config.params.clone())
-                    .with_ddr(config.ddr)
-                    .with_max_cycles(config.max_cycles)
-                    .with_threaded(threaded);
-                Box::new(MultiSystem::from_shard_patterns(
-                    &multi,
-                    &parts,
-                    config.transactions_per_master,
-                    config.seed,
-                ))
-            }
-        };
-    let sharded = move |backend: ShardBackendKind,
-                        shards: usize,
-                        masters: usize,
-                        mix: ShardMix,
-                        lookahead: bool| {
-        move |config: &PlatformConfig| -> Box<dyn BusModel> {
-            // Inherit the speed scenario's bus and DRAM parameters like
-            // every other spec, so the sharded rows stay comparable to
-            // the flat-bus rows if the scenario ever departs from the
-            // defaults.
-            let multi = MultiConfig::new(backend)
-                .with_params(config.params.clone())
-                .with_ddr(config.ddr)
-                .with_max_cycles(config.max_cycles)
-                .with_threaded(threaded)
-                .with_lookahead(lookahead);
-            Box::new(MultiSystem::from_shard_patterns(
-                &multi,
+                &config
+                    .multi_config(Topology::uniform(backend))
+                    .with_lookahead(lookahead),
                 &pattern_shards(shards, masters, mix),
                 config.transactions_per_master,
                 config.seed,
@@ -201,8 +146,8 @@ pub fn standard_models() -> Vec<ModelSpec> {
         }),
         ModelSpec::variant("32-master", scaled(32)),
         ModelSpec::variant("64-master", scaled(64)),
-        ModelSpec::new(partitioned(ShardBackendKind::Tlm, threaded)),
-        ModelSpec::new(partitioned(ShardBackendKind::Lt, threaded)),
+        ModelSpec::new(|config| Box::new(config.build_sharded(ShardBackendKind::Tlm))),
+        ModelSpec::new(|config| Box::new(config.build_sharded(ShardBackendKind::Lt))),
         ModelSpec::variant(
             "4x4",
             sharded(ShardBackendKind::Tlm, 4, 4, ShardMix::LocalHeavy, false),
@@ -229,18 +174,21 @@ pub fn standard_models() -> Vec<ModelSpec> {
             "4x16-la",
             sharded(ShardBackendKind::Lt, 4, 16, ShardMix::LocalHeavy, true),
         ),
-        ModelSpec::new(topology_spec(Topology::het_2x2(), None)),
-        ModelSpec::new(topology_spec(Topology::tlm_non_posted_reads(), None)),
-        ModelSpec::new(topology_spec(Topology::tlm_skewed_windows(), None)),
+        ModelSpec::new(|config| Box::new(config.build_topology(Topology::het_2x2()))),
+        ModelSpec::new(|config| Box::new(config.build_topology(Topology::tlm_non_posted_reads()))),
+        ModelSpec::new(|config| Box::new(config.build_topology(Topology::tlm_skewed_windows()))),
         // Four non-posted-read TLM shards over the read-heavy cross-shard
         // mix: the response-leg scaling configuration.
-        ModelSpec::variant(
-            "4x4",
-            topology_spec(
-                Topology::heterogeneous(vec![ShardBackendKind::Tlm; 4]).with_posted_reads(false),
-                Some(pattern_shards(4, 4, ShardMix::ReadHeavy)),
-            ),
-        ),
+        ModelSpec::variant("4x4", |config| {
+            let topology =
+                Topology::heterogeneous(vec![ShardBackendKind::Tlm; 4]).with_posted_reads(false);
+            Box::new(MultiSystem::from_shard_patterns(
+                &config.multi_config(topology),
+                &pattern_shards(4, 4, ShardMix::ReadHeavy),
+                config.transactions_per_master,
+                config.seed,
+            ))
+        }),
     ]
 }
 

@@ -1,8 +1,7 @@
-//! Integration tests of the multi-bus platform (`ahb-multi`): the
-//! threaded scheduler's determinism against the single-threaded
-//! reference, drop-in `BusModel` behaviour through the `ahbplus` facade,
-//! and the bridge's functional-identity guarantee against the single-bus
-//! backends.
+//! Integration tests of the multi-bus platform (`ahb-multi`): drop-in
+//! `BusModel` behaviour through the `ahbplus` facade, the bridge's
+//! functional-identity guarantee against the single-bus backends, and
+//! the adaptive lookahead's identity with the fixed-quantum schedule.
 
 use ahb_multi::{BridgeConfig, MultiConfig, MultiSystem, ShardBackendKind, Topology};
 use ahbplus::{run_lockstep, PlatformConfig, Simulation};
@@ -12,23 +11,6 @@ use proptest::prelude::*;
 use simkern::time::CycleDelta;
 use traffic::{pattern_shards, ShardMix, TrafficPattern};
 
-fn build(
-    backend: ShardBackendKind,
-    shards: usize,
-    masters: usize,
-    mix: ShardMix,
-    quantum: u64,
-    seed: u64,
-    threaded: bool,
-) -> MultiSystem {
-    let config = MultiConfig::new(backend)
-        .with_quantum(quantum)
-        .with_threaded(threaded);
-    let patterns = pattern_shards(shards, masters, mix);
-    MultiSystem::from_shard_patterns(&config, &patterns, 30, seed)
-}
-
-/// `mode` = (threaded, spin barrier, adaptive lookahead).
 fn build_topology(
     topology: Topology,
     shards: usize,
@@ -36,41 +18,13 @@ fn build_topology(
     mix: ShardMix,
     quantum: u64,
     seed: u64,
-    mode: (bool, bool, bool),
+    lookahead: bool,
 ) -> MultiSystem {
     let config = MultiConfig::from_topology(topology)
         .with_quantum(quantum)
-        .with_threaded(mode.0)
-        .with_spin_sync(mode.1)
-        .with_lookahead(mode.2);
+        .with_lookahead(lookahead);
     let patterns = pattern_shards(shards, masters, mix);
     MultiSystem::from_shard_patterns(&config, &patterns, 30, seed)
-}
-
-#[test]
-fn threaded_and_single_threaded_runs_are_probe_identical_in_lockstep() {
-    // The acceptance check of the conservative scheduler: drive the
-    // threaded platform and the single-threaded reference in lockstep and
-    // require bit-identical observable state at *every* horizon, not just
-    // matching end-of-run results.
-    for backend in [ShardBackendKind::Tlm, ShardBackendKind::Lt] {
-        for mix in [
-            ShardMix::LocalHeavy,
-            ShardMix::BridgeHeavy,
-            ShardMix::AllToAll,
-        ] {
-            let mut threaded = build(backend, 3, 4, mix, 96, 11, true);
-            let mut single = build(backend, 3, 4, mix, 96, 11, false);
-            let outcome = run_lockstep(&mut threaded, &mut single, CycleDelta::new(512));
-            assert!(
-                outcome.is_identical(),
-                "{backend:?}/{mix:?}: {}",
-                outcome.summary()
-            );
-            assert!(outcome.results_match);
-            assert!(outcome.a.metrics_eq(&outcome.b));
-        }
-    }
 }
 
 #[test]
@@ -212,14 +166,10 @@ fn asymmetric_links_bound_the_quantum_by_the_fastest_link() {
     let topology = Topology::uniform(ShardBackendKind::Tlm).with_link(1, 0, fast);
     let config = MultiConfig::from_topology(topology);
     let patterns = pattern_shards(2, 4, ShardMix::BridgeHeavy);
-    let mut single = MultiSystem::from_shard_patterns(&config, &patterns, 30, 7);
-    let mut threaded =
-        MultiSystem::from_shard_patterns(&config.clone().with_threaded(true), &patterns, 30, 7);
-    assert_eq!(single.quantum(), 24, "quantum follows the fastest link");
-    let a = single.run();
-    let b = threaded.run();
-    assert!(a.metrics_eq(&b), "asymmetric links stay deterministic");
-    assert_eq!(single.probe(), threaded.probe());
+    let mut system = MultiSystem::from_shard_patterns(&config, &patterns, 30, 7);
+    assert_eq!(system.quantum(), 24, "quantum follows the fastest link");
+    let report = system.run();
+    assert_eq!(report.total_transactions(), 2 * 4 * 30);
 }
 
 #[test]
@@ -295,10 +245,9 @@ fn sharded_tlm_outruns_the_flat_single_bus_on_a_bridge_light_workload() {
     // The scaling claim: the same 16-master bridge-light workload, once
     // on one saturated bus and once over four shards. The sharded
     // platform simulates more aggregate bus-cycles per second even
-    // single-threaded (four small fast buses instead of one large slow
-    // one); threading widens the gap on multi-core hosts. Measured
-    // best-of-N against best-of-N to keep scheduler noise out of the
-    // comparison.
+    // on one thread (four small fast buses instead of one large slow
+    // one). Measured best-of-N against best-of-N to keep scheduler noise
+    // out of the comparison.
     let patterns = pattern_shards(4, 4, ShardMix::LocalHeavy);
     let flat_config = PlatformConfig::new(union(&patterns), 400, 2005);
     let best = |run: &mut dyn FnMut() -> f64| (0..3).map(|_| run()).fold(0.0f64, f64::max);
@@ -359,8 +308,8 @@ fn per_shard_overrides_slow_the_cold_shard_without_changing_results() {
     // Satellite check of the per-shard parameter overrides: a 2×tlm+2×lt
     // platform whose "cold" transaction-level shard 1 runs a
     // prepare-hint-less DDR (and plain-AHB bus parameters) completes
-    // identical work, threaded and single-threaded lockstep-identical —
-    // but the override must be visible in the shard's DRAM statistics.
+    // identical work — but the override must be visible in the shard's
+    // DRAM statistics.
     let backends = vec![
         ShardBackendKind::Tlm,
         ShardBackendKind::Tlm,
@@ -384,12 +333,8 @@ fn per_shard_overrides_slow_the_cold_shard_without_changing_results() {
         17,
     );
     let mut single = MultiSystem::from_shard_patterns(&config, &patterns, 40, 17);
-    let mut threaded =
-        MultiSystem::from_shard_patterns(&config.clone().with_threaded(true), &patterns, 40, 17);
-    let outcome = run_lockstep(&mut threaded, &mut single, CycleDelta::new(512));
-    assert!(outcome.is_identical(), "{}", outcome.summary());
     let uniform_report = uniform.run();
-    let single_report = single.report();
+    let single_report = single.run();
     assert_eq!(
         uniform_report.total_transactions(),
         single_report.total_transactions(),
@@ -407,46 +352,19 @@ fn per_shard_overrides_slow_the_cold_shard_without_changing_results() {
 }
 
 proptest! {
-    /// The determinism guarantee of the threaded scheduler: across shard
-    /// counts, quanta, seeds, backends and traffic mixes, the threaded
-    /// platform and the single-threaded reference produce byte-identical
-    /// reports and probes.
+    /// The adaptive lookahead over every topology axis — shard count,
+    /// quantum, heterogeneous shard mixes, non-posted read crossings and
+    /// traffic mix — is a pure acceleration of the fixed-quantum
+    /// schedule: every observable except the model label (uniform-TLM
+    /// platforms report themselves as `sharded-tlm-la`) and the wall
+    /// clock is unchanged, shard by shard.
     #[test]
-    fn threaded_scheduler_is_deterministic(
-        shards in 1usize..5,
-        quantum in prop_oneof![Just(1u64), Just(13u64), Just(64u64), Just(96u64)],
-        seed in 0u64..1_000,
-        backend_is_tlm in any::<bool>(),
-        mix_selector in 0usize..3,
-    ) {
-        let backend = if backend_is_tlm { ShardBackendKind::Tlm } else { ShardBackendKind::Lt };
-        let mix = [ShardMix::LocalHeavy, ShardMix::BridgeHeavy, ShardMix::AllToAll][mix_selector];
-        let mut threaded = build(backend, shards, 3, mix, quantum, seed, true);
-        let mut single = build(backend, shards, 3, mix, quantum, seed, false);
-        let threaded_report = threaded.run();
-        let single_report = single.run();
-        prop_assert!(threaded_report.metrics_eq(&single_report),
-            "threaded run diverged (shards {}, quantum {}, seed {})", shards, quantum, seed);
-        prop_assert_eq!(threaded.probe(), single.probe());
-        prop_assert_eq!(threaded.shard_probes(), single.shard_probes());
-    }
-
-    /// The same guarantee over the *topology* axes: heterogeneous shard
-    /// mixes, non-uniform window maps, non-posted read crossings, the
-    /// spin barrier and the adaptive-lookahead scheduler all run the
-    /// identical exchange schedule — the threaded platform (spinning or
-    /// blocking) stays byte-identical to the single-threaded reference,
-    /// and a lookahead run stays probe-identical to the fixed-quantum
-    /// run it accelerates.
-    #[test]
-    fn threaded_topologies_are_deterministic(
+    fn lookahead_topologies_match_the_fixed_schedule(
         shards in 2usize..5,
         quantum in prop_oneof![Just(1u64), Just(17u64), Just(96u64)],
         seed in 0u64..1_000,
-        spin in any::<bool>(),
         posted_reads in any::<bool>(),
         het in any::<bool>(),
-        lookahead in any::<bool>(),
         mix_selector in 0usize..4,
     ) {
         let mix = [
@@ -461,33 +379,18 @@ proptest! {
             })
             .collect();
         let topology = Topology::heterogeneous(backends).with_posted_reads(posted_reads);
-        let mut threaded = build_topology(
-            topology.clone(), shards, 3, mix, quantum, seed, (true, spin, lookahead));
-        let mut single = build_topology(
-            topology.clone(), shards, 3, mix, quantum, seed, (false, spin, lookahead));
-        let threaded_report = threaded.run();
-        let single_report = single.run();
-        prop_assert!(threaded_report.metrics_eq(&single_report),
-            "topology run diverged (shards {}, quantum {}, seed {}, spin {}, posted_reads {}, \
-             lookahead {})",
-            shards, quantum, seed, spin, posted_reads, lookahead);
-        prop_assert_eq!(threaded.probe(), single.probe());
-        prop_assert_eq!(threaded.shard_probes(), single.shard_probes());
-        if lookahead {
-            // The lookahead schedule must be a pure acceleration of the
-            // fixed schedule: every observable except the model label
-            // (uniform-TLM platforms report themselves as
-            // `sharded-tlm-la`) and the wall clock is unchanged.
-            let mut fixed = build_topology(
-                topology, shards, 3, mix, quantum, seed, (false, spin, false));
-            let fixed_report = fixed.run();
-            prop_assert_eq!(single.probe(), fixed.probe(),
-                "lookahead diverged from fixed (shards {}, quantum {}, seed {})",
-                shards, quantum, seed);
-            prop_assert_eq!(single.shard_probes(), fixed.shard_probes());
-            prop_assert_eq!(single_report.total_cycles, fixed_report.total_cycles);
-            prop_assert_eq!(&single_report.masters, &fixed_report.masters);
-            prop_assert_eq!(&single_report.bus, &fixed_report.bus);
-        }
+        let mut fixed = build_topology(topology.clone(), shards, 3, mix, quantum, seed, false);
+        let mut stretched = build_topology(topology, shards, 3, mix, quantum, seed, true);
+        let fixed_report = fixed.run();
+        let stretched_report = stretched.run();
+        prop_assert_eq!(stretched.probe(), fixed.probe(),
+            "lookahead diverged from fixed (shards {}, quantum {}, seed {}, posted_reads {}, \
+             het {}, mix {:?})",
+            shards, quantum, seed, posted_reads, het, mix);
+        prop_assert_eq!(stretched.shard_probes(), fixed.shard_probes());
+        prop_assert_eq!(stretched_report.total_cycles, fixed_report.total_cycles);
+        prop_assert_eq!(&stretched_report.masters, &fixed_report.masters);
+        prop_assert_eq!(&stretched_report.bus, &fixed_report.bus);
+        prop_assert!(stretched.barriers_taken() <= fixed.barriers_taken());
     }
 }
